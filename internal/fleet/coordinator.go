@@ -6,25 +6,19 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"runtime"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/serve"
 	"repro/internal/serve/fsio"
-	"repro/internal/serve/journal"
 )
 
-// Coordinator errors surfaced to the API layer.
-var (
-	// ErrBusy reports that the fleet's aggregate admission budget is
-	// exhausted — every usable worker queue is full or the coordinator is
-	// at its concurrent-job limit (HTTP 429 + Retry-After).
-	ErrBusy = errors.New("fleet: worker queues full, retry later")
-	// ErrDraining reports that the coordinator is shutting down (503).
-	ErrDraining = errors.New("fleet: draining, not accepting jobs")
-)
+// ErrBusy (HTTP 429 + Retry-After: the job queue is full) and
+// ErrDraining (503: shutting down) are the scheduler's errors — a
+// coordinator admits through serve's bounded queues.
+var ErrBusy, ErrDraining = serve.ErrQueueFull, serve.ErrDraining
 
 // Config parameterises a coordinator.
 type Config struct {
@@ -50,7 +44,7 @@ type Config struct {
 	// store that makes coordinator recovery cheap (finished shards are
 	// found, not re-run).
 	SpoolDir string
-	// JournalPath, if non-empty, enables the write-ahead fleet journal:
+	// JournalPath, if non-empty, enables the write-ahead job journal:
 	// logical jobs are journaled at admission and replayed on restart.
 	JournalPath string
 	// FS is the filesystem seam under spool and journal (default: the
@@ -62,10 +56,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.ShardsPerJob < 1 {
-		c.ShardsPerJob = 2 * len(c.Workers)
-		if c.ShardsPerJob < 1 {
-			c.ShardsPerJob = 1
-		}
+		c.ShardsPerJob = max(1, 2*len(c.Workers))
 	}
 	if c.AssignRetries < 1 {
 		c.AssignRetries = 3
@@ -78,9 +69,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxJobs < 1 {
 		c.MaxJobs = 4
-	}
-	if c.CacheEntries < 1 {
-		c.CacheEntries = 256
 	}
 	return c
 }
@@ -95,468 +83,234 @@ const (
 	ShardFailed  ShardState = "failed"
 )
 
-// shardRun is the mutable dispatch record of one planned shard.
-// Guarded by its FleetJob's mu.
-type shardRun struct {
-	shard    Shard
-	state    ShardState
-	worker   string // URL of the worker it last ran on
-	attempts int    // dispatch attempts (1 + reassignments)
-	result   json.RawMessage
-	errMsg   string
-	queuedMs int64 // worker-reported queue wait of the successful attempt
-	runMs    int64 // worker-reported execution time of the successful attempt
-	start    time.Time
-	end      time.Time
-	cached   bool // result came from the coordinator spool (recovery)
-}
-
-// FleetJob is one tracked logical job: its plan and the dispatch state
-// of every shard.
-type FleetJob struct {
-	plan *Plan
-	done chan struct{}
-	tail *serve.LineTail // this job's shard lifecycle events, NDJSON
-
-	mu        sync.Mutex
-	state     serve.State
-	shards    []*shardRun
-	result    json.RawMessage
-	errMsg    string
-	cachedHit bool
-	recovered bool
-	coalesced uint64
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
-}
-
-// Digest returns the logical job's content address.
-func (f *FleetJob) Digest() serve.Digest { return f.plan.Digest }
-
-// Done is closed when the job reaches a terminal state.
-func (f *FleetJob) Done() <-chan struct{} { return f.done }
-
 // ShardStatus is the serialisable dispatch state of one shard.
 type ShardStatus struct {
 	Index    int          `json:"index"`
 	Digest   serve.Digest `json:"digest"`
 	State    ShardState   `json:"state"`
-	Worker   string       `json:"worker,omitempty"`
-	Attempts int          `json:"attempts,omitempty"`
-	Cached   bool         `json:"cached,omitempty"`
-	QueuedMs int64        `json:"queuedMs,omitempty"`
-	RunMs    int64        `json:"runMs,omitempty"`
+	Worker   string       `json:"worker,omitempty"`   // the worker it last ran on
+	Attempts int          `json:"attempts,omitempty"` // dispatches (1 + reassignments)
+	Cached   bool         `json:"cached,omitempty"`   // adopted from the coordinator spool
+	QueuedMs int64        `json:"queuedMs,omitempty"` // worker-reported, successful attempt
+	RunMs    int64        `json:"runMs,omitempty"`    // worker-reported, successful attempt
 	Error    string       `json:"error,omitempty"`
 }
 
-// JobView is the fleet GET /v1/jobs/{id} reply: the serve-compatible
-// job record (so serve.Client works against a coordinator unchanged)
-// plus the per-shard dispatch table.
+// shardRun is the mutable dispatch record of one planned shard: its
+// wire view plus what only the executor and the trace need. Guarded by
+// its run's mu.
+type shardRun struct {
+	ShardStatus
+	spec       *serve.JobSpec
+	result     json.RawMessage
+	start, end time.Time // dispatch window on the coordinator's clock
+}
+
+// run is one execution of a logical job by the coordinator's executor:
+// its plan, the scheduler record it executes for, and the dispatch state
+// of every shard.
+type run struct {
+	plan *Plan
+	job  *serve.Job      // the record that ran, kept when a cache hit later replaces it
+	tail *serve.LineTail // this job's shard lifecycle events, NDJSON
+
+	mu     sync.Mutex
+	shards []*shardRun
+}
+
+// JobView is the fleet GET /v1/jobs/{id} reply: the serve job record
+// (so serve.Client works against a coordinator unchanged) plus the
+// per-shard dispatch table.
 type JobView struct {
 	serve.JobStatus
 	Shards []ShardStatus `json:"shards,omitempty"`
 }
 
-// Status snapshots the job in serve's wire shape. Attempts counts
-// dispatch attempts across all shards.
-func (f *FleetJob) Status() JobView {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	v := JobView{JobStatus: serve.JobStatus{
-		ID:        f.plan.Digest,
-		Kind:      f.plan.Spec.Kind,
-		State:     f.state,
-		Cached:    f.cachedHit,
-		Recovered: f.recovered,
-		Coalesced: f.coalesced,
-		Error:     f.errMsg,
-	}}
-	if !f.submitted.IsZero() && !f.started.IsZero() {
-		v.QueuedMs = f.started.Sub(f.submitted).Milliseconds()
+// snapshot copies the shard records.
+func (r *run) snapshot() []shardRun {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]shardRun, len(r.shards))
+	for i, sr := range r.shards {
+		out[i] = *sr
 	}
-	if !f.started.IsZero() && !f.finished.IsZero() {
-		v.RunMs = f.finished.Sub(f.started).Milliseconds()
-	}
-	if f.state == serve.StateDone {
-		v.Result = f.result
-	}
-	for _, sr := range f.shards {
-		v.Attempts += sr.attempts
-		v.Shards = append(v.Shards, ShardStatus{
-			Index:    sr.shard.Index,
-			Digest:   sr.shard.Digest,
-			State:    sr.state,
-			Worker:   sr.worker,
-			Attempts: sr.attempts,
-			Cached:   sr.cached,
-			QueuedMs: sr.queuedMs,
-			RunMs:    sr.runMs,
-			Error:    sr.errMsg,
-		})
-	}
-	return v
+	return out
 }
 
-// shardTable is the checkpointed shard assignment table: the per-shard
-// completion watermark the coordinator persists under the logical
-// digest so a restart can report (and skip) finished shards without
-// re-deriving everything from the spool alone.
-type shardTable struct {
-	Shards []shardTableEntry `json:"shards"`
-}
-
-type shardTableEntry struct {
-	Index    int          `json:"index"`
-	Digest   serve.Digest `json:"digest"`
-	State    ShardState   `json:"state"`
-	Worker   string       `json:"worker,omitempty"`
-	Attempts int          `json:"attempts,omitempty"`
-}
-
-// Coordinator fronts the /v1 jobs API for a fleet of workers: it plans,
-// dispatches, reassigns and merges. One Coordinator is one logical
-// scheduler; its journal and spool make a SIGKILL survivable.
+// Coordinator is a serve.Scheduler whose Runner plans a logical job,
+// dispatches its shards to a registry of workers, and merges their
+// results. Admission, coalescing, the result cache, the journal and its
+// recovery, drain and health are the scheduler's; the coordinator adds
+// the planner, the registry and the executor.
 type Coordinator struct {
+	*serve.Scheduler
 	cfg      Config
 	registry *Registry
-	jnl      *journal.Journal
-	cache    *serve.Cache
-	table    *serve.CheckpointStore
-	logger   *slog.Logger
+	tail     *serve.LineTail // fleet event NDJSON lines (/v1/fleet/events)
+	started  chan struct{}   // closed by Start; the executor dispatches after it
 
-	tail *serve.LineTail // fleet event NDJSON lines (/v1/fleet/events)
+	mu    sync.Mutex
+	runs  map[serve.Digest]*run // per-job shard views, pruned to the scheduler's records
+	order []serve.Digest        // runs in start order, for stable listing
 
-	mu       sync.Mutex
-	jobs     []*FleetJob                  // submit order, for stable iteration
-	byID     map[serve.Digest]*FleetJob   // lookup only; never ranged over
-	active   int
-	draining bool
-
-	runCtx       context.Context
-	runCancel    context.CancelFunc
-	wg           sync.WaitGroup
-	shutdownOnce sync.Once
-	start        time.Time
-
-	submitted        atomic.Uint64
-	coalescedTotal   atomic.Uint64
-	cachedTotal      atomic.Uint64
-	completed        atomic.Uint64
-	failed           atomic.Uint64
-	rejectedBusy     atomic.Uint64
-	rejectedDraining atomic.Uint64
-	reassigned       atomic.Uint64
-	recoveredJobs    atomic.Uint64
-	shardsDispatched atomic.Uint64
+	active     atomic.Int64
+	dispatched atomic.Uint64
+	reassigned atomic.Uint64
 }
 
 // fleetTailCapacity bounds the fleet event tail; shard lifecycle events
 // are far sparser than protocol events, so a small tail covers hours.
 const fleetTailCapacity = 4096
 
-// NewCoordinator builds a coordinator, opening its journal and spool
-// and replaying any logical jobs that were accepted but unfinished when
-// the previous process died. Recovered jobs re-enter dispatch when
-// Start is called; shards whose results are already in the spool are
-// merged without re-running.
+// NewCoordinator builds a coordinator. Its scheduler replays any
+// logical jobs the journal holds as accepted but unfinished; they start
+// dispatching once Start has started the registry, and shards whose
+// results are already in the spool are merged without re-running.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Workers) == 0 {
 		return nil, fmt.Errorf("fleet: no workers configured")
 	}
-	fs := cfg.FS
-	if fs == nil {
-		fs = fsio.OS{}
-	}
-	cfg.FS = fs
-	cache, err := serve.NewCache(cfg.CacheEntries, cfg.SpoolDir, fs)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: spool: %w", err)
-	}
 	c := &Coordinator{
 		cfg:      cfg,
-		registry: NewRegistry(cfg.Workers, cfg.Heartbeat),
-		cache:    cache,
-		logger:   cfg.Logger,
+		registry: newRegistry(cfg.Workers, cfg.Heartbeat),
 		tail:     serve.NewLineTail(fleetTailCapacity),
-		byID:     make(map[serve.Digest]*FleetJob),
+		started:  make(chan struct{}),
+		runs:     make(map[serve.Digest]*run),
 	}
-	//lint:allow determinism -- service uptime anchor; not simulation state
-	c.start = time.Now()
-	c.runCtx, c.runCancel = context.WithCancel(context.Background())
-	if cfg.SpoolDir != "" {
-		table, err := serve.NewCheckpointStore(cfg.SpoolDir+"/shardtables", fs)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: shard tables: %w", err)
-		}
-		c.table = table
+	sched, err := serve.NewScheduler(serve.Config{
+		// One shard per concurrent logical job: the scheduler's bounded
+		// queues are the coordinator's only admission policy.
+		Shards:       cfg.MaxJobs,
+		JobTimeout:   -1, // shards are bounded by ShardWait, not the job
+		CacheEntries: cfg.CacheEntries,
+		SpoolDir:     cfg.SpoolDir,
+		JournalPath:  cfg.JournalPath,
+		FS:           cfg.FS,
+		Runner:       c.execute,
+		EventRing:    1, // the executor emits no protocol events: the minimum ring
+		Logger:       cfg.Logger,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
-	if cfg.JournalPath != "" {
-		jnl, info, err := journal.Open(fs, cfg.JournalPath)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: journal: %w", err)
-		}
-		c.jnl = jnl
-		for _, rec := range info.Pending {
-			c.recoverJob(rec)
-		}
-	}
+	c.Scheduler = sched
 	return c, nil
 }
 
-// Start launches the registry heartbeats and re-enters dispatch for
-// recovered jobs.
+// Start launches the registry heartbeats and releases dispatch,
+// including for jobs recovered from the journal.
 func (c *Coordinator) Start() {
 	c.registry.Start()
-	c.mu.Lock()
-	pending := make([]*FleetJob, 0, len(c.jobs))
-	for _, j := range c.jobs {
-		j.mu.Lock()
-		if j.state == serve.StateQueued {
-			pending = append(pending, j)
-		}
-		j.mu.Unlock()
-	}
-	c.mu.Unlock()
-	for _, j := range pending {
-		c.launch(j)
-	}
+	close(c.started)
 }
 
-// logInfo logs when a logger is configured.
-func (c *Coordinator) logInfo(msg string, args ...any) {
-	if c.logger != nil {
-		c.logger.Info(msg, args...)
-	}
-}
-
-func (c *Coordinator) logWarn(msg string, args ...any) {
-	if c.logger != nil {
-		c.logger.Warn(msg, args...)
-	}
+// Stop aborts immediately: in-flight dispatch is cancelled, the journal
+// keeps aborted jobs pending for the next start, and the heartbeats end.
+func (c *Coordinator) Stop() {
+	c.Scheduler.Stop()
+	c.registry.Stop()
 }
 
 // event renders one fleet lifecycle event into the coordinator-wide
-// NDJSON tail, and — when it concerns a tracked job — into that job's
-// own tail, the stream /v1/jobs/{id}/events serves.
-func (c *Coordinator) event(j *FleetJob, kind string, fields map[string]any) {
-	line := map[string]any{"kind": kind}
-	//lint:allow determinism -- copying into a map; json.Marshal sorts keys, so the rendered line is order-independent
-	for k, v := range fields {
-		line[k] = v
+// NDJSON tail and into the job's own tail, the stream
+// /v1/jobs/{id}/events serves.
+func (c *Coordinator) event(r *run, kind string, kv ...any) {
+	line := map[string]any{"kind": kind, "job": r.plan.Digest.Short()}
+	for i := 0; i+1 < len(kv); i += 2 {
+		line[kv[i].(string)] = kv[i+1]
 	}
-	b, err := json.Marshal(line)
+	b, err := json.Marshal(line) // sorted keys: the line is order-independent
 	if err != nil {
 		return
 	}
 	c.tail.Append(b)
-	if j != nil && j.tail != nil {
-		j.tail.Append(b)
-	}
+	r.tail.Append(b)
 }
 
-// journalAppend logs one record, tolerating degradation (mirrors the
-// serve scheduler's policy: durability degrades, serving never stops).
-func (c *Coordinator) journalAppend(r journal.Record) {
-	if c.jnl == nil {
-		return
+// track records a run's shard view and drops the views of jobs the
+// scheduler no longer tracks, so the views share its record bound. The
+// run's own job is tracked: the scheduler records a job before any
+// runner can see it.
+func (c *Coordinator) track(r *run) {
+	d := r.plan.Digest
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.runs[d]; !ok {
+		c.order = append(c.order, d)
 	}
-	if err := c.jnl.Append(r); err != nil && !errors.Is(err, journal.ErrDegraded) {
-		c.logWarn("fleet journal degraded", "err", err)
+	c.runs[d] = r
+	kept := c.order[:0]
+	for _, od := range c.order {
+		if c.Tracked(od) {
+			kept = append(kept, od)
+		} else {
+			delete(c.runs, od)
+		}
 	}
+	c.order = kept
 }
 
-// newJob builds the FleetJob for a plan, marking spool-recovered shards
-// done immediately.
-func (c *Coordinator) newJob(plan *Plan) *FleetJob {
-	j := &FleetJob{
-		plan:  plan,
-		done:  make(chan struct{}),
-		tail:  serve.NewLineTail(fleetTailCapacity),
-		state: serve.StateQueued,
+// lookup returns the shard view of the latest run of d, if still held.
+func (c *Coordinator) lookup(d serve.Digest) *run {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.runs[d]
+}
+
+// View renders a job record in the fleet wire shape: its status plus
+// the shard table of the run that produced it.
+func (c *Coordinator) View(j *serve.Job) JobView {
+	v := JobView{JobStatus: j.Status()}
+	if r := c.lookup(j.Digest()); r != nil {
+		v.Attempts = 0 // dispatch attempts across all shards
+		for _, sr := range r.snapshot() {
+			v.Shards = append(v.Shards, sr.ShardStatus)
+			v.Attempts += sr.Attempts
+		}
 	}
-	//lint:allow determinism -- job lifecycle timestamps; not simulation state
-	j.submitted = time.Now()
+	return v
+}
+
+// execute is the coordinator's serve.Runner: plan the logical job,
+// adopt shard results already in the spool, dispatch the rest to
+// workers concurrently and merge. A shutdown cancels ctx; the scheduler
+// then keeps the job pending in its journal for the next start.
+func (c *Coordinator) execute(ctx context.Context, spec *serve.JobSpec, _ serve.ExecOptions) (json.RawMessage, error) {
+	select {
+	case <-c.started:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	plan, err := NewPlan(spec, c.cfg.ShardsPerJob)
+	if err != nil {
+		return nil, err
+	}
+	job, _ := c.Job(plan.Digest) // in flight, so the record is held
+	r := &run{plan: plan, job: job, tail: serve.NewLineTail(fleetTailCapacity)}
+	spooled := 0
 	for _, sh := range plan.Shards {
-		sr := &shardRun{shard: sh, state: ShardPending}
-		if e, ok := c.cache.Get(sh.Digest); ok {
-			sr.state = ShardDone
-			sr.result = e.Result
-			sr.cached = true
+		sr := &shardRun{ShardStatus: ShardStatus{Index: sh.Index, Digest: sh.Digest, State: ShardPending}, spec: sh.Spec}
+		if e, ok := c.Cache().Get(sh.Digest); ok {
+			sr.State, sr.result, sr.Cached = ShardDone, e.Result, true
+			spooled++
 		}
-		j.shards = append(j.shards, sr)
+		r.shards = append(r.shards, sr)
 	}
-	return j
-}
-
-// recoverJob replays one journaled logical job after a restart: the
-// plan is re-derived from the journaled spec (planning is
-// deterministic, so the shard table matches the pre-crash one), spooled
-// shard results are adopted, and the remainder waits for Start.
-func (c *Coordinator) recoverJob(rec journal.Record) {
-	spec, err := serve.DecodeSpec(rec.Spec)
-	if err != nil {
-		c.journalAppend(journal.Record{Op: journal.OpFail, ID: rec.ID})
-		c.logWarn("fleet recovery: undecodable spec", "id", rec.ID, "err", err)
-		return
-	}
-	plan, err := NewPlan(spec, c.cfg.ShardsPerJob)
-	if err != nil || string(plan.Digest) != rec.ID {
-		c.journalAppend(journal.Record{Op: journal.OpFail, ID: rec.ID})
-		c.logWarn("fleet recovery: plan mismatch", "id", rec.ID)
-		return
-	}
-	j := c.newJob(plan)
-	j.recovered = true
-	c.recoveredJobs.Add(1)
-	done := 0
-	for _, sr := range j.shards {
-		if sr.state == ShardDone {
-			done++
-		}
-	}
-	c.mu.Lock()
-	c.jobs = append(c.jobs, j)
-	c.byID[plan.Digest] = j
-	c.active++
-	c.mu.Unlock()
-	c.event(j, "job-recovered", map[string]any{
-		"job": plan.Digest.Short(), "shards": len(j.shards), "spooled": done,
-	})
-	c.logInfo("fleet recovery: job replayed",
-		"id", plan.Digest.Short(), "shards", len(j.shards), "spooled", done)
-}
-
-// Submit admits one logical job: content-address it, serve it from the
-// cache or coalesce onto an identical in-flight job when possible,
-// otherwise plan it and launch dispatch. The admission semantics mirror
-// serve.Scheduler.Submit so the fleet API is a drop-in front.
-func (c *Coordinator) Submit(spec *serve.JobSpec) (*FleetJob, serve.Admission, error) {
-	plan, err := NewPlan(spec, c.cfg.ShardsPerJob)
-	if err != nil {
-		return nil, serve.AdmissionNew, err
-	}
-	canonical, _, err := spec.Canonical()
-	if err != nil {
-		return nil, serve.AdmissionNew, err
-	}
-
-	c.mu.Lock()
-	if c.draining {
-		c.mu.Unlock()
-		c.rejectedDraining.Add(1)
-		return nil, serve.AdmissionNew, ErrDraining
-	}
-	if existing, ok := c.byID[plan.Digest]; ok {
-		existing.mu.Lock()
-		terminal := existing.state == serve.StateDone || existing.state == serve.StateFailed
-		if !terminal {
-			existing.coalesced++
-		}
-		existing.mu.Unlock()
-		c.mu.Unlock()
-		if terminal {
-			c.cachedTotal.Add(1)
-			return existing, serve.AdmissionCached, nil
-		}
-		c.coalescedTotal.Add(1)
-		return existing, serve.AdmissionCoalesced, nil
-	}
-	if e, ok := c.cache.Get(plan.Digest); ok {
-		// Merged result already spooled: born-terminal job, no dispatch.
-		j := &FleetJob{plan: plan, done: make(chan struct{}),
-			tail: serve.NewLineTail(fleetTailCapacity), state: serve.StateDone,
-			result: e.Result, cachedHit: true}
-		close(j.done)
-		c.jobs = append(c.jobs, j)
-		c.byID[plan.Digest] = j
-		c.mu.Unlock()
-		c.cachedTotal.Add(1)
-		return j, serve.AdmissionCached, nil
-	}
-	if c.active >= c.cfg.MaxJobs || (c.registry.Usable() > 0 && c.registry.QueueHeadroom() <= 0) {
-		c.mu.Unlock()
-		c.rejectedBusy.Add(1)
-		return nil, serve.AdmissionNew, ErrBusy
-	}
-	j := c.newJob(plan)
-	c.jobs = append(c.jobs, j)
-	c.byID[plan.Digest] = j
-	c.active++
-	c.mu.Unlock()
-
-	c.submitted.Add(1)
-	c.journalAppend(journal.Record{Op: journal.OpAccept, ID: string(plan.Digest), Spec: canonical})
-	c.event(j, "job-accepted", map[string]any{
-		"job": plan.Digest.Short(), "kind": string(spec.Kind), "shards": len(plan.Shards),
-	})
-	c.launch(j)
-	return j, serve.AdmissionNew, nil
-}
-
-// Job looks a logical job up by digest.
-func (c *Coordinator) Job(d serve.Digest) (*FleetJob, bool) {
-	c.mu.Lock()
-	j, ok := c.byID[d]
-	c.mu.Unlock()
-	return j, ok
-}
-
-// launch runs a job's dispatch on its own goroutine, joined by Drain.
-func (c *Coordinator) launch(j *FleetJob) {
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		c.runJob(c.runCtx, j)
-	}()
-}
-
-// saveTable checkpoints the job's shard table under its logical digest.
-func (c *Coordinator) saveTable(j *FleetJob) {
-	if c.table == nil {
-		return
-	}
-	j.mu.Lock()
-	t := shardTable{Shards: make([]shardTableEntry, 0, len(j.shards))}
-	for _, sr := range j.shards {
-		t.Shards = append(t.Shards, shardTableEntry{
-			Index: sr.shard.Index, Digest: sr.shard.Digest,
-			State: sr.state, Worker: sr.worker, Attempts: sr.attempts,
-		})
-	}
-	j.mu.Unlock()
-	b, err := json.Marshal(t)
-	if err != nil {
-		return
-	}
-	if err := c.table.Save(j.plan.Digest, b); err != nil {
-		c.logWarn("fleet shard table save failed", "id", j.plan.Digest.Short(), "err", err)
-	}
-}
-
-// runJob drives one logical job to a terminal state: dispatch every
-// pending shard concurrently, wait for all of them, merge.
-func (c *Coordinator) runJob(ctx context.Context, j *FleetJob) {
-	j.mu.Lock()
-	j.state = serve.StateRunning
-	//lint:allow determinism -- job lifecycle timestamps; not simulation state
-	j.started = time.Now()
-	pending := make([]*shardRun, 0, len(j.shards))
-	for _, sr := range j.shards {
-		if sr.state != ShardDone {
-			pending = append(pending, sr)
-		}
-	}
-	j.mu.Unlock()
-	c.saveTable(j)
+	c.track(r)
+	c.active.Add(1)
+	defer c.active.Add(-1)
+	c.event(r, "job-started", "kind", spec.Kind, "shards", len(plan.Shards), "spooled", spooled)
 
 	var wg sync.WaitGroup
-	for _, sr := range pending {
+	for _, sr := range r.shards {
+		if sr.State == ShardDone {
+			continue
+		}
 		wg.Add(1)
 		go func(sr *shardRun) {
 			defer wg.Done()
-			c.runShard(ctx, j, sr)
+			c.runShard(ctx, r, sr)
 		}(sr)
 	}
 	wg.Wait()
@@ -564,94 +318,93 @@ func (c *Coordinator) runJob(ctx context.Context, j *FleetJob) {
 	// Merge exactly one result per shard index — a reassigned shard that
 	// raced two workers still contributes a single entry, and equal
 	// digests guarantee equal bytes whichever worker's reply landed.
-	j.mu.Lock()
-	results := make([]json.RawMessage, len(j.shards))
-	failMsg := ""
-	for i, sr := range j.shards {
-		if sr.state != ShardDone {
-			if failMsg == "" {
-				failMsg = fmt.Sprintf("shard %d: %s", sr.shard.Index, sr.errMsg)
-			}
-			continue
+	results := make([]json.RawMessage, len(r.shards))
+	r.mu.Lock()
+	for i, sr := range r.shards {
+		if sr.State != ShardDone {
+			err = fmt.Errorf("shard %d: %s", sr.Index, sr.Error)
+			break
 		}
 		results[i] = sr.result
 	}
-	j.mu.Unlock()
-
-	if failMsg == "" {
-		merged, err := j.plan.Merge(results)
-		if err != nil {
-			failMsg = err.Error()
-		} else {
-			c.finishJob(j, merged, "")
-			return
-		}
+	r.mu.Unlock()
+	var merged json.RawMessage
+	if err == nil {
+		merged, err = plan.Merge(results)
 	}
-	c.finishJob(j, nil, failMsg)
+	switch {
+	case err == nil:
+		c.event(r, "job-done")
+	case ctx.Err() != nil:
+		c.event(r, "job-aborted", "error", err.Error())
+	default:
+		c.event(r, "job-failed", "error", err.Error())
+	}
+	return merged, err
 }
 
-// finishJob moves a job to its terminal state, spools the merged
-// result, journals the completion and wakes waiters.
-func (c *Coordinator) finishJob(j *FleetJob, merged json.RawMessage, errMsg string) {
-	// A failure caused by coordinator shutdown is an abort, not a verdict
-	// on the job: the journal keeps its accept record pending so the next
-	// start replays the job and adopts whatever shards already spooled —
-	// the same resume-don't-refail contract the worker scheduler has.
-	aborted := errMsg != "" && c.runCtx.Err() != nil
-	canonical, _, cerr := j.plan.Spec.Canonical()
-	j.mu.Lock()
-	//lint:allow determinism -- job lifecycle timestamps; not simulation state
-	j.finished = time.Now()
-	if errMsg == "" {
-		j.state = serve.StateDone
-		j.result = merged
-	} else {
-		j.state = serve.StateFailed
-		j.errMsg = errMsg
-	}
-	j.mu.Unlock()
-	c.saveTable(j)
-	if errMsg == "" {
-		if cerr == nil {
-			c.cache.Put(j.plan.Digest, serve.Entry{Spec: canonical, Result: merged})
-		}
-		c.journalAppend(journal.Record{Op: journal.OpDone, ID: string(j.plan.Digest)})
-		c.completed.Add(1)
-		c.event(j, "job-done", map[string]any{"job": j.plan.Digest.Short()})
-		c.logInfo("fleet job done", "id", j.plan.Digest.Short())
-	} else if aborted {
-		c.event(j, "job-aborted", map[string]any{"job": j.plan.Digest.Short(), "error": errMsg})
-		c.logWarn("fleet job aborted by shutdown; journal keeps it pending",
-			"id", j.plan.Digest.Short(), "err", errMsg)
-	} else {
-		c.journalAppend(journal.Record{Op: journal.OpFail, ID: string(j.plan.Digest)})
-		c.failed.Add(1)
-		c.event(j, "job-failed", map[string]any{"job": j.plan.Digest.Short(), "error": errMsg})
-		c.logWarn("fleet job failed", "id", j.plan.Digest.Short(), "err", errMsg)
-	}
-	c.mu.Lock()
-	c.active--
-	c.mu.Unlock()
-	close(j.done)
-}
-
-// runShard dispatches one shard until it succeeds, permanently fails,
-// or exhausts its reassignment budget. Worker loss (transport error,
-// timeout, death mid-wait) reassigns to the next-best worker; a
-// deterministic job failure on the worker fails the shard outright —
-// the same spec would fail anywhere.
-func (c *Coordinator) runShard(ctx context.Context, j *FleetJob, sr *shardRun) {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.ShardWait)
-	defer cancel()
-	j.mu.Lock()
-	sr.state = ShardRunning
+// runShard dispatches one shard, records the outcome and spools a
+// result under the shard digest, where a later run of the job — after
+// a restart or a failure — adopts it instead of dispatching again.
+func (c *Coordinator) runShard(ctx context.Context, r *run, sr *shardRun) {
+	r.mu.Lock()
+	sr.State = ShardRunning
 	//lint:allow determinism -- shard lifecycle timestamps; not simulation state
 	sr.start = time.Now()
-	j.mu.Unlock()
+	r.mu.Unlock()
+	resp, err := c.dispatch(ctx, r, sr)
+	var result json.RawMessage
+	if err == nil {
+		// Workers indent their HTTP responses; compact the shard result so
+		// single-shard passthrough and cache entries are byte-identical to
+		// what a single-node runner produces.
+		result, err = json.Marshal(resp.Status.Result)
+	}
+	r.mu.Lock()
+	//lint:allow determinism -- shard lifecycle timestamps; not simulation state
+	sr.end = time.Now()
+	if err != nil {
+		sr.State, sr.Error = ShardFailed, err.Error()
+	} else {
+		sr.State, sr.result = ShardDone, result
+		sr.QueuedMs, sr.RunMs = resp.Status.QueuedMs, resp.Status.RunMs
+	}
+	r.mu.Unlock()
+	if err != nil {
+		c.event(r, "shard-failed", "shard", sr.Index, "error", err.Error())
+		return
+	}
+	// A single-shard plan's shard is the logical job itself, which the
+	// scheduler caches once the executor returns.
+	if sr.Digest != r.plan.Digest {
+		if canonical, _, err := sr.spec.Canonical(); err == nil {
+			c.Cache().Put(sr.Digest, serve.Entry{Spec: canonical, Result: result})
+		}
+	}
+	c.event(r, "shard-done", "shard", sr.Index, "worker", sr.Worker, "runMs", sr.RunMs)
+}
 
+// dispatch sends one shard to workers until one returns it done, it
+// fails deterministically, or the reassignment budget is spent. Worker
+// loss (transport error, timeout, death mid-wait) reassigns to the
+// next-best worker; a job failure on the worker fails the shard
+// outright — the same spec would fail anywhere. A worker's 429 is
+// waited out without spending the budget: the coordinator's own bounded
+// queue is what pushes back on clients. ShardWait bounds it all.
+func (c *Coordinator) dispatch(ctx context.Context, r *run, sr *shardRun) (*serve.SubmitResponse, error) {
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.ShardWait)
+	defer cancel()
+	pause := func(d time.Duration, why string) error {
+		select {
+		case <-ctx.Done():
+			return fmt.Errorf("%s: %w", why, ctx.Err())
+		case <-time.After(d):
+			return nil
+		}
+	}
 	tried := make(map[string]bool)
-	var lastErr error
-	for attempt := 0; attempt < c.cfg.AssignRetries; attempt++ {
+	lastErr := errors.New("no dispatch attempt succeeded")
+	for attempt := 0; attempt < c.cfg.AssignRetries; {
 		w := c.registry.Pick(tried)
 		if w == nil && len(tried) > 0 {
 			// Every untried worker is unusable; forgive earlier transport
@@ -662,206 +415,56 @@ func (c *Coordinator) runShard(ctx context.Context, j *FleetJob, sr *shardRun) {
 		if w == nil {
 			// No usable worker at all: wait out a heartbeat for one to
 			// come back rather than burning the attempt budget.
-			select {
-			case <-ctx.Done():
-				c.failShard(j, sr, fmt.Errorf("no usable worker: %w", ctx.Err()))
-				return
-			case <-time.After(c.cfg.Heartbeat):
+			if err := pause(c.cfg.Heartbeat, "no usable worker"); err != nil {
+				return nil, err
 			}
-			attempt--
 			continue
 		}
 
-		j.mu.Lock()
-		sr.attempts++
-		sr.worker = w.URL
-		j.mu.Unlock()
+		r.mu.Lock()
+		sr.Attempts++
+		sr.Worker = w.URL
+		r.mu.Unlock()
+		kind := "shard-dispatched"
 		if attempt > 0 {
+			kind = "shard-reassigned"
 			c.reassigned.Add(1)
-			c.event(j, "shard-reassigned", map[string]any{
-				"job": j.plan.Digest.Short(), "shard": sr.shard.Index, "worker": w.URL,
-			})
-		} else {
-			c.event(j, "shard-dispatched", map[string]any{
-				"job": j.plan.Digest.Short(), "shard": sr.shard.Index, "worker": w.URL,
-			})
 		}
-		c.shardsDispatched.Add(1)
+		c.event(r, kind, "shard", sr.Index, "worker", w.URL)
+		c.dispatched.Add(1)
 
-		resp, err := w.Client.SubmitRetry(ctx, sr.shard.Spec, -1, 3)
+		resp, err := w.Client.Submit(ctx, sr.spec, -1)
 		c.registry.Release(w)
-		if err != nil {
-			lastErr = err
-			tried[w.URL] = true
-			c.logWarn("fleet shard dispatch failed",
-				"job", j.plan.Digest.Short(), "shard", sr.shard.Index, "worker", w.URL, "err", err)
-			if ctx.Err() != nil {
-				break
+		var ae *serve.APIError
+		if errors.As(err, &ae) && ae.Code == http.StatusTooManyRequests {
+			if err := pause(max(ae.RetryAfter, c.cfg.Heartbeat), "worker queue full"); err != nil {
+				return nil, err
 			}
 			continue
 		}
-		switch resp.Status.State {
-		case serve.StateDone:
-			c.completeShard(j, sr, resp)
-			return
-		case serve.StateFailed:
-			// Deterministic failure: the spec itself fails; reassignment
-			// cannot change a pure function's result.
-			c.failShard(j, sr, fmt.Errorf("worker %s: %s", w.URL, resp.Status.Error))
-			return
+		attempt++
+		switch {
+		case err != nil:
+			lastErr = err
+			if lg := c.cfg.Logger; lg != nil {
+				lg.Warn("fleet shard dispatch failed",
+					"job", r.plan.Digest.Short(), "shard", sr.Index, "worker", w.URL, "err", err)
+			}
+			if ctx.Err() != nil {
+				return nil, err
+			}
+		case resp.Status.State == serve.StateDone:
+			return resp, nil
+		case resp.Status.State == serve.StateFailed:
+			// Deterministic failure: reassignment cannot change a pure
+			// function's result.
+			return nil, fmt.Errorf("worker %s: %s", w.URL, resp.Status.Error)
 		default:
 			// The wait returned non-terminal (worker drain or wait budget);
 			// another worker can pick the shard up.
 			lastErr = fmt.Errorf("worker %s returned non-terminal state %q", w.URL, resp.Status.State)
-			tried[w.URL] = true
 		}
+		tried[w.URL] = true
 	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("no dispatch attempt succeeded")
-	}
-	c.failShard(j, sr, fmt.Errorf("after %d attempts: %w", c.cfg.AssignRetries, lastErr))
+	return nil, fmt.Errorf("after %d attempts: %w", c.cfg.AssignRetries, lastErr)
 }
-
-// completeShard records a shard result, spools it under the shard
-// digest (the completion watermark recovery reads) and checkpoints the
-// table.
-func (c *Coordinator) completeShard(j *FleetJob, sr *shardRun, resp *serve.SubmitResponse) {
-	canonical, _, cerr := sr.shard.Spec.Canonical()
-	// Workers indent their HTTP responses; compact the shard result so
-	// single-shard passthrough and cache entries are byte-identical to
-	// what a single-node runner produces.
-	result := resp.Status.Result
-	if compacted, err := json.Marshal(result); err == nil {
-		result = compacted
-	}
-	j.mu.Lock()
-	sr.state = ShardDone
-	sr.result = result
-	sr.queuedMs = resp.Status.QueuedMs
-	sr.runMs = resp.Status.RunMs
-	//lint:allow determinism -- shard lifecycle timestamps; not simulation state
-	sr.end = time.Now()
-	j.mu.Unlock()
-	if cerr == nil {
-		c.cache.Put(sr.shard.Digest, serve.Entry{Spec: canonical, Result: result})
-	}
-	c.saveTable(j)
-	c.event(j, "shard-done", map[string]any{
-		"job": j.plan.Digest.Short(), "shard": sr.shard.Index, "worker": sr.worker,
-		"runMs": resp.Status.RunMs,
-	})
-}
-
-// failShard records a permanent shard failure.
-func (c *Coordinator) failShard(j *FleetJob, sr *shardRun, err error) {
-	j.mu.Lock()
-	sr.state = ShardFailed
-	sr.errMsg = err.Error()
-	//lint:allow determinism -- shard lifecycle timestamps; not simulation state
-	sr.end = time.Now()
-	j.mu.Unlock()
-	c.saveTable(j)
-	c.event(j, "shard-failed", map[string]any{
-		"job": j.plan.Digest.Short(), "shard": sr.shard.Index, "error": err.Error(),
-	})
-}
-
-// Draining reports whether the coordinator is shutting down.
-func (c *Coordinator) Draining() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.draining
-}
-
-// Drain stops admissions and waits for running fleet jobs to finish,
-// bounded by ctx. Shard dispatches outlive ctx only until runCancel.
-func (c *Coordinator) Drain(ctx context.Context) error {
-	c.mu.Lock()
-	c.draining = true
-	c.mu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		c.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		c.shutdown()
-		return nil
-	case <-ctx.Done():
-		c.shutdown()
-		//lint:allow ctxflow -- shutdown just cancelled runCtx, so dispatch aborts and the join is bounded; returning before it would race the journal close
-		<-done
-		return fmt.Errorf("fleet: drain incomplete: %w", ctx.Err())
-	}
-}
-
-// Stop aborts immediately: cancel in-flight dispatch, join, close
-// stores. Used by tests simulating a coordinator crash (minus the
-// fsync-durability already covered by the journal's contract).
-func (c *Coordinator) Stop() {
-	c.mu.Lock()
-	c.draining = true
-	c.mu.Unlock()
-	c.shutdown()
-	c.wg.Wait()
-}
-
-func (c *Coordinator) shutdown() {
-	c.shutdownOnce.Do(func() {
-		c.runCancel()
-		c.registry.Stop()
-		if c.jnl != nil {
-			_ = c.jnl.Close()
-		}
-	})
-}
-
-// Health reports the coordinator's own health plus the worker pool
-// summary in the same wire shape workers use, so one probe recipe
-// covers both roles.
-func (c *Coordinator) Health() serve.HealthResponse {
-	h := serve.HealthResponse{
-		Status:    "ok",
-		Version:   serve.BuildVersion(),
-		GoVersion: runtime.Version(),
-	}
-	if c.jnl != nil && c.jnl.Degraded() {
-		h.Journal = "degraded"
-	} else if c.jnl != nil {
-		h.Journal = "ok"
-	} else {
-		h.Journal = "disabled"
-	}
-	if c.cfg.SpoolDir == "" {
-		h.Spool = "disabled"
-	} else if c.cache.Degraded() {
-		h.Spool = "degraded"
-	} else {
-		h.Spool = "ok"
-	}
-	h.Checkpoints = h.Spool // shard tables ride the spool directory
-	if h.Degraded() {
-		h.Status = "degraded"
-	}
-	if c.Draining() {
-		h.Status = "draining"
-	}
-	return h
-}
-
-// RetryAfter estimates the backoff a 429'd caller should honour: one
-// heartbeat per fully-queued usable worker, clamped to [1s, 30s].
-func (c *Coordinator) RetryAfter() time.Duration {
-	d := 2 * c.cfg.Heartbeat
-	if d < time.Second {
-		d = time.Second
-	}
-	if d > 30*time.Second {
-		d = 30 * time.Second
-	}
-	return d
-}
-
-// Tail exposes the fleet event tail for the events endpoint.
-func (c *Coordinator) Tail() *serve.LineTail { return c.tail }

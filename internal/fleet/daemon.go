@@ -2,34 +2,27 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
-// DaemonMain is the body of `mcservd -coordinator`: flag parsing,
-// coordinator construction (fleet journal recovery included), HTTP
-// serving and graceful drain. Like the worker daemon it lives in the
-// library so the crash-recovery harness can SIGKILL and restart the
-// exact shipping code path.
+// DaemonMain is the body of `mcservd -coordinator`: flag parsing and
+// coordinator construction (journal recovery included), then the
+// serving loop and graceful drain the worker daemon uses too. Like the
+// worker daemon it lives in the library so a crash-recovery harness can
+// SIGKILL and restart the exact shipping code path.
 //
 // The returned int is the process exit code: 0 after a clean drain,
 // nonzero on startup failure or an incomplete drain.
 func DaemonMain(args []string) int {
 	fs := flag.NewFlagSet("mcservd -coordinator", flag.ContinueOnError)
+	d := serve.NewDaemon(fs, "127.0.0.1:8330")
 	var (
-		addr          = fs.String("addr", "127.0.0.1:8330", "listen address")
 		workers       = fs.String("workers", "", "comma-separated worker base URLs (required)")
 		shardsPerJob  = fs.Int("shards-per-job", 0, "target shards per logical job (0 = 2x workers)")
 		assignRetries = fs.Int("assign-retries", 3, "dispatch attempts per shard before the job fails")
@@ -39,19 +32,11 @@ func DaemonMain(args []string) int {
 		cacheEntries  = fs.Int("cache", 256, "in-memory merged-result cache entries")
 		spool         = fs.String("spool", "", "result spool directory (empty = memory only)")
 		journalPath   = fs.String("journal", "auto", "fleet journal path (auto = <spool>/fleet-journal.wal, none = disabled)")
-		drainTimeout  = fs.Duration("drain-timeout", 5*time.Minute, "graceful drain budget on SIGTERM")
-		portFile      = fs.String("portfile", "", "write the bound listen address to this file once serving")
-		logFormat     = fs.String("log-format", "text", "log output format: text or json")
 	)
-	if err := fs.Parse(args); err != nil {
+	if !d.Parse(fs, args, "coordinator") {
 		return 2
 	}
-	logger, err := obs.NewLogger(os.Stderr, *logFormat, slog.LevelInfo)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mcservd:", err)
-		return 2
-	}
-	logger = logger.With("component", "coordinator")
+	logger := d.Logger
 
 	var urls []string
 	for _, u := range strings.Split(*workers, ",") {
@@ -64,19 +49,6 @@ func DaemonMain(args []string) int {
 		return 2
 	}
 
-	resolve := func(v, def string) string {
-		switch v {
-		case "auto":
-			if *spool == "" {
-				return ""
-			}
-			return filepath.Join(*spool, def)
-		case "none", "off":
-			return ""
-		}
-		return v
-	}
-
 	coord, err := NewCoordinator(Config{
 		Workers:       urls,
 		ShardsPerJob:  *shardsPerJob,
@@ -86,7 +58,7 @@ func DaemonMain(args []string) int {
 		MaxJobs:       *maxJobs,
 		CacheEntries:  *cacheEntries,
 		SpoolDir:      *spool,
-		JournalPath:   resolve(*journalPath, "fleet-journal.wal"),
+		JournalPath:   serve.StorePath(*journalPath, *spool, "fleet-journal.wal"),
 		Logger:        logger,
 	})
 	if err != nil {
@@ -94,50 +66,16 @@ func DaemonMain(args []string) int {
 		return 1
 	}
 	coord.Start()
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		logger.Error("listen failed", "addr", *addr, "err", err)
-		return 1
+	d.Handler = NewServer(coord)
+	d.Drain = func(ctx context.Context) error {
+		err := coord.Drain(ctx)
+		coord.Stop() // drained: this only ends the heartbeats
+		st := coord.Stats()
+		logger.Info("drained",
+			"completed", st.Jobs.Completed, "failed", st.Jobs.Failed,
+			"shards_dispatched", st.Shards.Dispatched, "reassigned", st.Shards.Reassigned,
+			"recovered", st.Jobs.Recovered)
+		return err
 	}
-	if *portFile != "" {
-		if err := os.WriteFile(*portFile, []byte(ln.Addr().String()), 0o644); err != nil {
-			logger.Error("portfile write failed", "path", *portFile, "err", err)
-			return 1
-		}
-	}
-	srv := &http.Server{Handler: NewServer(coord)}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	logger.Info("listening",
-		"addr", ln.Addr().String(), "workers", len(urls),
-		"shards_per_job", coord.cfg.ShardsPerJob, "spool", *spool)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-serveErr:
-		logger.Error("serve failed", "err", err)
-		return 1
-	case <-ctx.Done():
-	}
-	stop()
-
-	logger.Info("draining", "budget", drainTimeout.String())
-	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	drainErr := coord.Drain(dctx)
-	if err := srv.Shutdown(dctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		logger.Warn("http shutdown", "err", err)
-	}
-	st := coord.Stats()
-	logger.Info("drained",
-		"completed", st.Jobs.Completed, "failed", st.Jobs.Failed,
-		"shards_dispatched", st.Shards.Dispatched, "reassigned", st.Shards.Reassigned,
-		"recovered", st.Jobs.Recovered)
-	if drainErr != nil {
-		logger.Error("drain incomplete", "err", drainErr)
-		return 1
-	}
-	return 0
+	return d.Run("workers", len(urls), "shards_per_job", coord.cfg.ShardsPerJob, "spool", *spool)
 }

@@ -3,9 +3,12 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http/httptest"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -88,7 +91,7 @@ func fleetResult(t *testing.T, coord *Coordinator, raw string) (json.RawMessage,
 	case <-time.After(2 * time.Minute):
 		t.Fatal("fleet job did not finish within 2m")
 	}
-	st := job.Status()
+	st := coord.View(job)
 	if st.State != serve.StateDone {
 		t.Fatalf("fleet job failed: %s", st.Error)
 	}
@@ -181,7 +184,7 @@ func TestFleetWorkerLossReassignsShards(t *testing.T) {
 	case <-time.After(2 * time.Minute):
 		t.Fatal("fleet job did not finish after worker loss")
 	}
-	st := job.Status()
+	st := coord.View(job)
 	if st.State != serve.StateDone {
 		t.Fatalf("fleet job failed after worker loss: %s", st.Error)
 	}
@@ -252,7 +255,7 @@ func TestFleetCoordinatorKillAndRecover(t *testing.T) {
 	// Wait until the ungated shard has finished and spooled.
 	deadline := time.Now().Add(time.Minute)
 	for {
-		st := job.Status()
+		st := first.View(job)
 		done := 0
 		for _, sh := range st.Shards {
 			if sh.State == ShardDone {
@@ -289,7 +292,7 @@ func TestFleetCoordinatorKillAndRecover(t *testing.T) {
 	case <-time.After(2 * time.Minute):
 		t.Fatal("recovered fleet job did not finish")
 	}
-	st := recovered.Status()
+	st := second.View(recovered)
 	if st.State != serve.StateDone {
 		t.Fatalf("recovered job failed: %s", st.Error)
 	}
@@ -376,5 +379,104 @@ func TestFleetBackpressureAndCoalescing(t *testing.T) {
 	other := `{"sweep":{"protocol":"majorcan_5","nodes":5,"frames":50,"berStar":0.02,"seed":99,"seeds":4,"eofOnly":true,"resetCounters":true}}`
 	if _, _, err := coord.Submit(decodeSpec(t, other)); err != ErrDraining {
 		t.Fatalf("draining submit error = %v, want ErrDraining", err)
+	}
+}
+
+// waitDone waits for a job submitted straight to the coordinator.
+func waitDone(t *testing.T, job *serve.Job) serve.JobStatus {
+	t.Helper()
+	select {
+	case <-job.Done():
+	case <-time.After(time.Minute):
+		t.Fatal("fleet job did not finish within 1m")
+	}
+	return job.Status()
+}
+
+// TestFleetRetriesFailedJob: a logical job that failed — here because
+// its worker failed the shard once — is not served from the cache;
+// resubmitting it runs it again, as a single node re-runs failures.
+func TestFleetRetriesFailedJob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet integration test")
+	}
+	var calls atomic.Int32
+	u, _ := newWorker(t, func(ctx context.Context, spec *serve.JobSpec, opt serve.ExecOptions) (json.RawMessage, error) {
+		if calls.Add(1) == 1 {
+			return nil, errors.New("injected worker failure")
+		}
+		return serve.Execute(ctx, spec, opt)
+	})
+	coord := newFleet(t, Config{Workers: []string{u}, ShardsPerJob: 2})
+
+	raw := `{"sweep":{"protocol":"majorcan_5","nodes":5,"frames":40,"berStar":0.02,"seed":7,"seeds":1,"eofOnly":true,"resetCounters":true}}`
+	job, _, err := coord.Submit(decodeSpec(t, raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitDone(t, job); st.State != serve.StateFailed {
+		t.Fatalf("first run ended %s, want failed", st.State)
+	}
+	job, adm, err := coord.Submit(decodeSpec(t, raw))
+	if err != nil || adm != serve.AdmissionNew {
+		t.Fatalf("resubmit after failure: adm=%v err=%v, want a new admission", adm, err)
+	}
+	st := waitDone(t, job)
+	if st.State != serve.StateDone {
+		t.Fatalf("re-run ended %s (%s), want done", st.State, st.Error)
+	}
+	if string(st.Result) != string(singleNodeResult(t, raw)) {
+		t.Fatal("re-run result differs from a single-node run")
+	}
+}
+
+// TestFleetJobTableBounded: the coordinator's per-job views are bounded
+// like the scheduler's record table — distinct jobs beyond the bound
+// evict the oldest views — and an evicted job is still answered from
+// the spool.
+func TestFleetJobTableBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet integration test")
+	}
+	u, _ := newWorker(t, func(context.Context, *serve.JobSpec, serve.ExecOptions) (json.RawMessage, error) {
+		return json.RawMessage(`{"stub":true}`), nil
+	})
+	cfg := Config{Workers: []string{u}, ShardsPerJob: 1, MaxJobs: 1, CacheEntries: 2, SpoolDir: t.TempDir()}
+	coord := newFleet(t, cfg)
+	ts := httptest.NewServer(NewServer(coord))
+	t.Cleanup(ts.Close)
+	client := serve.NewClient(ts.URL)
+
+	// The scheduler's record bound: cache entries plus every queue full
+	// and one job running per shard (serve's default queue depth is 64).
+	bound := cfg.CacheEntries + cfg.MaxJobs*(64+1)
+	var first serve.Digest
+	for i := 0; i < bound+8; i++ {
+		raw := fmt.Sprintf(`{"sweep":{"protocol":"majorcan_5","nodes":5,"frames":10,"berStar":0.02,"seed":%d,"seeds":1}}`, 1000+i)
+		job, _, err := coord.Submit(decodeSpec(t, raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitDone(t, job); st.State != serve.StateDone {
+			t.Fatalf("job %d ended %s: %s", i, st.State, st.Error)
+		}
+		if i == 0 {
+			first = job.Digest()
+		}
+	}
+	ctx := context.Background()
+	var fv FleetView
+	if err := client.GetJSON(ctx, "/v1/fleet", &fv); err != nil {
+		t.Fatal(err)
+	}
+	if len(fv.Jobs) > bound {
+		t.Fatalf("/v1/fleet holds %d jobs, want at most %d", len(fv.Jobs), bound)
+	}
+	var view JobView
+	if err := client.GetJSON(ctx, "/v1/jobs/"+string(first), &view); err != nil {
+		t.Fatalf("evicted but spooled job: %v", err)
+	}
+	if view.State != serve.StateDone || string(view.Result) == "" {
+		t.Fatalf("evicted job answered %s without a result", view.State)
 	}
 }

@@ -2,8 +2,6 @@ package fleet
 
 import (
 	"io"
-	"strconv"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -41,34 +39,40 @@ type Stats struct {
 	Workers       []WorkerStatus `json:"workers"`
 }
 
-// Stats snapshots the coordinator.
+// Stats snapshots the coordinator: the scheduler's admission and
+// completion totals in the fleet's wire shape, plus dispatch counters
+// and the worker pool.
 func (c *Coordinator) Stats() Stats {
-	//lint:allow determinism -- serving-layer uptime clock; not simulation state
-	uptime := time.Since(c.start)
-	c.mu.Lock()
-	active := c.active
-	c.mu.Unlock()
+	st := c.Scheduler.Stats()
+	workers := c.registry.Snapshot()
+	usable, headroom := 0, 0
+	for _, w := range workers {
+		if w.State.usable() {
+			usable++
+			headroom += w.Capacity - w.Depth - w.Inflight
+		}
+	}
 	return Stats{
-		Draining:      c.Draining(),
-		UptimeSeconds: uptime.Seconds(),
+		Draining:      st.Draining,
+		UptimeSeconds: st.UptimeSeconds,
 		Jobs: JobCounters{
-			Submitted:        c.submitted.Load(),
-			Coalesced:        c.coalescedTotal.Load(),
-			Cached:           c.cachedTotal.Load(),
-			Completed:        c.completed.Load(),
-			Failed:           c.failed.Load(),
-			Recovered:        c.recoveredJobs.Load(),
-			RejectedBusy:     c.rejectedBusy.Load(),
-			RejectedDraining: c.rejectedDraining.Load(),
+			Submitted:        st.Jobs.Submitted - st.Jobs.Coalesced - st.Jobs.Cached,
+			Coalesced:        st.Jobs.Coalesced,
+			Cached:           st.Jobs.Cached,
+			Completed:        st.Jobs.Executed - st.Jobs.Failed,
+			Failed:           st.Jobs.Failed,
+			Recovered:        st.Durability.RecoveredJobs,
+			RejectedBusy:     st.Jobs.RejectedQueueFull,
+			RejectedDraining: st.Jobs.RejectedDraining,
 		},
 		Shards: ShardCounters{
-			Dispatched: c.shardsDispatched.Load(),
+			Dispatched: c.dispatched.Load(),
 			Reassigned: c.reassigned.Load(),
 		},
-		ActiveJobs:    active,
-		QueueHeadroom: c.registry.QueueHeadroom(),
-		WorkersUsable: c.registry.Usable(),
-		Workers:       c.registry.Snapshot(),
+		ActiveJobs:    int(c.active.Load()),
+		QueueHeadroom: headroom,
+		WorkersUsable: usable,
+		Workers:       workers,
 	}
 }
 
@@ -98,13 +102,13 @@ func WriteMetrics(w io.Writer, st Stats) error {
 	gauge("mc_fleet_uptime_seconds", "Seconds since the coordinator started.", st.UptimeSeconds)
 	gauge("mc_fleet_draining", "1 while the coordinator refuses new work for shutdown.", b(st.Draining))
 
-	counter("mc_fleet_jobs_submitted_total", "Logical jobs admitted and planned.", st.Jobs.Submitted)
+	counter("mc_fleet_jobs_submitted_total", "Logical jobs admitted for execution (not cached or coalesced).", st.Jobs.Submitted)
 	counter("mc_fleet_jobs_coalesced_total", "Submissions merged into an identical in-flight logical job.", st.Jobs.Coalesced)
 	counter("mc_fleet_jobs_cached_total", "Submissions answered from the merged-result cache.", st.Jobs.Cached)
 	counter("mc_fleet_jobs_completed_total", "Logical jobs merged to completion.", st.Jobs.Completed)
-	counter("mc_fleet_jobs_failed_total", "Logical jobs that failed (shard failure or merge error).", st.Jobs.Failed)
-	counter("mc_fleet_jobs_recovered_total", "Logical jobs replayed from the fleet journal after a restart.", st.Jobs.Recovered)
-	counter("mc_fleet_jobs_rejected_busy_total", "Submissions 429'd for exhausted worker-queue headroom or job limit.", st.Jobs.RejectedBusy)
+	counter("mc_fleet_jobs_failed_total", "Logical jobs that failed (shard failure, merge error or shutdown abort).", st.Jobs.Failed)
+	counter("mc_fleet_jobs_recovered_total", "Logical jobs replayed from the journal after a restart.", st.Jobs.Recovered)
+	counter("mc_fleet_jobs_rejected_busy_total", "Submissions 429'd because the coordinator's job queue was full.", st.Jobs.RejectedBusy)
 	counter("mc_fleet_jobs_rejected_draining_total", "Submissions rejected during drain.", st.Jobs.RejectedDraining)
 
 	counter("mc_fleet_shards_dispatched_total", "Shard dispatch attempts sent to workers.", st.Shards.Dispatched)
@@ -115,33 +119,29 @@ func WriteMetrics(w io.Writer, st Stats) error {
 	gauge("mc_fleet_workers_usable", "Workers currently accepting shards.", float64(st.WorkersUsable))
 	gauge("mc_fleet_workers", "Configured workers.", float64(len(st.Workers)))
 
-	label := func(w WorkerStatus) []obs.Label {
-		return []obs.Label{{Name: "worker", Value: w.URL}}
-	}
-	p.Family("mc_fleet_worker_up", "gauge", "1 while the worker answers heartbeats (healthy or degraded).")
-	for _, ws := range st.Workers {
-		up := ws.State == WorkerHealthy || ws.State == WorkerDegraded
-		p.Sample("mc_fleet_worker_up", label(ws), b(up))
-	}
-	p.Family("mc_fleet_worker_queue_depth", "gauge", "Worker-reported jobs waiting across its shard queues.")
-	for _, ws := range st.Workers {
-		p.Sample("mc_fleet_worker_queue_depth", label(ws), float64(ws.Depth))
-	}
-	p.Family("mc_fleet_worker_queue_capacity", "gauge", "Worker-reported aggregate shard-queue capacity.")
-	for _, ws := range st.Workers {
-		p.Sample("mc_fleet_worker_queue_capacity", label(ws), float64(ws.Capacity))
-	}
-	p.Family("mc_fleet_worker_executed_total", "counter", "Worker-reported jobs executed since its start.")
-	for _, ws := range st.Workers {
-		p.Sample("mc_fleet_worker_executed_total", label(ws), float64(ws.Executed))
-	}
-	p.Family("mc_fleet_worker_inflight", "gauge", "Shards this coordinator currently has running on the worker.")
-	for _, ws := range st.Workers {
-		p.Sample("mc_fleet_worker_inflight", label(ws), float64(ws.Inflight))
-	}
-	p.Family("mc_fleet_worker_state", "gauge", "Worker state as an enum: 0 dead, 1 draining, 2 degraded, 3 healthy.")
-	for _, ws := range st.Workers {
-		p.Sample("mc_fleet_worker_state", label(ws), float64(stateEnum(ws.State)))
+	for _, f := range []struct {
+		name, typ, help string
+		value           func(WorkerStatus) float64
+	}{
+		{"mc_fleet_worker_up", "gauge", "1 while the worker answers heartbeats (healthy or degraded).",
+			func(ws WorkerStatus) float64 { return b(ws.State.usable()) }},
+		{"mc_fleet_worker_queue_depth", "gauge", "Worker-reported jobs waiting across its shard queues.",
+			func(ws WorkerStatus) float64 { return float64(ws.Depth) }},
+		{"mc_fleet_worker_queue_capacity", "gauge", "Worker-reported aggregate shard-queue capacity.",
+			func(ws WorkerStatus) float64 { return float64(ws.Capacity) }},
+		{"mc_fleet_worker_executed_total", "counter", "Worker-reported jobs executed since its start.",
+			func(ws WorkerStatus) float64 { return float64(ws.Executed) }},
+		{"mc_fleet_worker_inflight", "gauge", "Shards this coordinator currently has running on the worker.",
+			func(ws WorkerStatus) float64 { return float64(ws.Inflight) }},
+		{"mc_fleet_worker_state", "gauge", "Worker state as an enum: 0 dead, 1 draining, 2 degraded, 3 healthy.",
+			func(ws WorkerStatus) float64 { return stateEnum[ws.State] }},
+	} {
+		// Per-worker state is federated into one labelled series per
+		// worker URL.
+		p.Family(f.name, f.typ, f.help)
+		for _, ws := range st.Workers {
+			p.Sample(f.name, []obs.Label{{Name: "worker", Value: ws.URL}}, f.value(ws))
+		}
 	}
 
 	if err := p.Err(); err != nil {
@@ -150,30 +150,6 @@ func WriteMetrics(w io.Writer, st Stats) error {
 	return p.Flush()
 }
 
-func stateEnum(s WorkerState) int {
-	switch s {
-	case WorkerDraining:
-		return 1
-	case WorkerDegraded:
-		return 2
-	case WorkerHealthy:
-		return 3
-	}
-	return 0
-}
-
-// workerShort abbreviates a worker URL for span labels: the host:port
-// suffix carries all the identity a timeline needs.
-func workerShort(url string) string {
-	for i := 0; i+2 < len(url); i++ {
-		if url[i] == ':' && url[i+1] == '/' && url[i+2] == '/' {
-			return url[i+3:]
-		}
-	}
-	return url
-}
-
-// shardLabel renders "shard N" without fmt.
-func shardLabel(i int) string {
-	return "shard " + strconv.Itoa(i)
-}
+// stateEnum encodes WorkerState for the mc_fleet_worker_state gauge;
+// dead is the zero value.
+var stateEnum = map[WorkerState]float64{WorkerDraining: 1, WorkerDegraded: 2, WorkerHealthy: 3}

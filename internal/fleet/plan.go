@@ -1,8 +1,9 @@
-// Package fleet is the distributed layer over the simulation service: a
-// coordinator that fronts the same /v1 jobs API as a single mcservd,
-// splits one logical job into content-addressed shard jobs, dispatches
-// them to a registry of worker mcservd instances, and deterministically
-// merges the shard results.
+// Package fleet is the distributed layer over the simulation service. A
+// coordinator is an ordinary serve.Scheduler — same /v1 API, admission,
+// cache and journal — whose Runner splits one logical job into
+// content-addressed shard jobs (the planner), dispatches them to worker
+// mcservd instances (the registry) and deterministically merges the
+// shard results (the executor).
 //
 // The merge invariant is the package's whole contract: for any worker
 // count, any shard count, and any interleaving of worker failures and

@@ -26,6 +26,9 @@ const (
 	WorkerDead WorkerState = "dead"
 )
 
+// usable reports whether a worker in state s takes shards.
+func (s WorkerState) usable() bool { return s == WorkerHealthy || s == WorkerDegraded }
+
 // deadFailures is how many consecutive heartbeat failures turn a worker
 // dead. One lost datagram's worth of tolerance, not more: shards blocked
 // on a dead worker are stalled work.
@@ -44,17 +47,10 @@ type Worker struct {
 	// Client is the /v1 API client used for heartbeats and dispatch.
 	Client *serve.Client
 
-	mu        sync.Mutex
-	state     WorkerState
-	health    serve.HealthResponse
-	depth     int // summed shard-queue depth from /v1/stats
-	capacity  int // summed shard-queue capacity
-	executed  uint64
-	failures  int // consecutive heartbeat failures
-	skip      int // probe-backoff ticks left while dead
-	inflight  int // shards this coordinator currently has running there
-	lastBeat  time.Time
-	lastError string
+	mu       sync.Mutex
+	status   WorkerStatus // what the last heartbeat saw, plus inflight
+	failures int          // consecutive heartbeat failures
+	skip     int          // probe-backoff ticks left while dead
 }
 
 // WorkerStatus is the serialisable registry view of one worker.
@@ -63,38 +59,36 @@ type WorkerStatus struct {
 	State     WorkerState `json:"state"`
 	Version   string      `json:"version,omitempty"`
 	GoVersion string      `json:"goVersion,omitempty"`
-	Depth     int         `json:"depth"`
-	Capacity  int         `json:"capacity"`
+	Depth     int         `json:"depth"`    // summed shard-queue depth from /v1/stats
+	Capacity  int         `json:"capacity"` // summed shard-queue capacity
 	Executed  uint64      `json:"executed"`
-	Inflight  int         `json:"inflight"`
+	Inflight  int         `json:"inflight"` // shards this coordinator has running there
 	Error     string      `json:"error,omitempty"`
 }
 
 // Registry tracks the worker pool: it heartbeats every worker on a
 // fixed cadence via GET /v1/healthz (state, durability, build identity)
-// and GET /v1/stats (queue depths, for backpressure aggregation and
-// least-loaded placement).
+// and GET /v1/stats (queue depths, reported in the fleet stats).
 type Registry struct {
 	workers   []*Worker // fixed after construction; per-worker state has its own lock
 	heartbeat time.Duration
+	pickMu    sync.Mutex // makes Pick's choice and reservation one step
 
-	stop chan struct{}
-	wg   sync.WaitGroup
+	stop     chan struct{}
+	stopOnce sync.Once
+	wg       sync.WaitGroup
 }
 
-// NewRegistry builds a registry over the given worker base URLs.
+// newRegistry builds a registry over the given worker base URLs.
 // Workers start dead — the first heartbeat round promotes the live
 // ones, so nothing dispatches to a worker that was never seen.
-func NewRegistry(urls []string, heartbeat time.Duration) *Registry {
-	if heartbeat <= 0 {
-		heartbeat = time.Second
-	}
+func newRegistry(urls []string, heartbeat time.Duration) *Registry {
 	r := &Registry{heartbeat: heartbeat, stop: make(chan struct{})}
 	for _, u := range urls {
 		r.workers = append(r.workers, &Worker{
 			URL:    u,
 			Client: serve.NewClient(u),
-			state:  WorkerDead,
+			status: WorkerStatus{URL: u, State: WorkerDead},
 		})
 	}
 	return r
@@ -121,9 +115,9 @@ func (r *Registry) Start() {
 	}()
 }
 
-// Stop ends the heartbeat loop and waits for it.
+// Stop ends the heartbeat loop and waits for it. It is idempotent.
 func (r *Registry) Stop() {
-	close(r.stop)
+	r.stopOnce.Do(func() { close(r.stop) })
 	r.wg.Wait()
 }
 
@@ -131,7 +125,7 @@ func (r *Registry) Stop() {
 func (r *Registry) beatAll() {
 	for _, w := range r.workers {
 		w.mu.Lock()
-		skip := w.state == WorkerDead && w.skip > 0
+		skip := w.status.State == WorkerDead && w.skip > 0
 		if skip {
 			w.skip--
 		}
@@ -160,48 +154,41 @@ func (r *Registry) beat(w *Worker) {
 	defer w.mu.Unlock()
 	if err != nil {
 		w.failures++
-		w.lastError = err.Error()
-		if w.failures >= deadFailures && w.state != WorkerDead {
-			w.state = WorkerDead
+		w.status.Error = err.Error()
+		if w.failures >= deadFailures && w.status.State != WorkerDead {
+			w.status.State = WorkerDead
 			w.skip = 0
-		} else if w.state == WorkerDead {
-			// Exponential probe backoff while it stays dead. Workers
-			// start in the dead state, so failures can still be below
-			// the threshold here — clamp the exponent at zero.
-			shift := w.failures - deadFailures
-			if shift < 0 {
-				shift = 0
+		} else if w.status.State == WorkerDead {
+			// Exponential probe backoff while it stays dead, capped at
+			// probeBackoffMax ticks. Workers start in the dead state, so
+			// failures can still be below the threshold here.
+			backoff := 1
+			for i := deadFailures; i < w.failures && backoff < probeBackoffMax; i++ {
+				backoff *= 2
 			}
-			backoff := 1 << shift
-			if backoff > probeBackoffMax {
-				backoff = probeBackoffMax
-			}
-			w.skip = backoff - 1
+			w.skip = min(backoff, probeBackoffMax) - 1
 		}
 		return
 	}
 	w.failures = 0
 	w.skip = 0
-	w.lastError = ""
-	w.health = *h
-	//lint:allow determinism -- registry heartbeat timestamps; not simulation state
-	w.lastBeat = time.Now()
+	w.status.Error = ""
+	w.status.Version, w.status.GoVersion = h.Version, h.GoVersion
 	switch {
 	case h.Status == "draining":
-		w.state = WorkerDraining
+		w.status.State = WorkerDraining
 	case h.Degraded():
-		w.state = WorkerDegraded
+		w.status.State = WorkerDegraded
 	default:
-		w.state = WorkerHealthy
+		w.status.State = WorkerHealthy
 	}
 	if st != nil {
-		depth, capacity := 0, 0
+		w.status.Depth, w.status.Capacity = 0, 0
 		for _, sh := range st.Shards {
-			depth += sh.Depth
-			capacity += sh.Capacity
+			w.status.Depth += sh.Depth
+			w.status.Capacity += sh.Capacity
 		}
-		w.depth, w.capacity = depth, capacity
-		w.executed = st.Jobs.Executed
+		w.status.Executed = st.Jobs.Executed
 	}
 }
 
@@ -211,33 +198,28 @@ func (r *Registry) beat(w *Worker) {
 // It reserves a slot on the returned worker (undo with Release). Nil
 // means no worker is currently usable.
 func (r *Registry) Pick(exclude map[string]bool) *Worker {
-	pick := func(wantDegraded bool) *Worker {
-		var best *Worker
-		bestLoad := 0
-		for _, w := range r.workers {
-			if exclude[w.URL] {
-				continue
-			}
-			w.mu.Lock()
-			ok := (w.state == WorkerHealthy && !wantDegraded) || (w.state == WorkerDegraded && wantDegraded)
-			load := w.inflight
-			w.mu.Unlock()
-			if !ok {
-				continue
-			}
-			if best == nil || load < bestLoad {
-				best, bestLoad = w, load
-			}
+	// Serialized, so concurrent shards of one job see each other's
+	// reservations instead of all choosing the same least-loaded worker.
+	r.pickMu.Lock()
+	defer r.pickMu.Unlock()
+	var best *Worker
+	var bestStatus WorkerStatus
+	for _, w := range r.workers {
+		w.mu.Lock()
+		ws := w.status
+		w.mu.Unlock()
+		if exclude[w.URL] || !ws.State.usable() {
+			continue
 		}
-		return best
-	}
-	best := pick(false)
-	if best == nil {
-		best = pick(true)
+		// Healthy ranks before degraded; within a rank, least inflight.
+		if best == nil || (ws.State == WorkerHealthy && bestStatus.State == WorkerDegraded) ||
+			(ws.State == bestStatus.State && ws.Inflight < bestStatus.Inflight) {
+			best, bestStatus = w, ws
+		}
 	}
 	if best != nil {
 		best.mu.Lock()
-		best.inflight++
+		best.status.Inflight++
 		best.mu.Unlock()
 	}
 	return best
@@ -246,25 +228,10 @@ func (r *Registry) Pick(exclude map[string]bool) *Worker {
 // Release returns a slot reserved by Pick.
 func (r *Registry) Release(w *Worker) {
 	w.mu.Lock()
-	if w.inflight > 0 {
-		w.inflight--
+	if w.status.Inflight > 0 {
+		w.status.Inflight--
 	}
 	w.mu.Unlock()
-}
-
-// QueueHeadroom sums (capacity - depth) over dispatchable workers: the
-// fleet's aggregate admission budget. Zero or negative means every
-// usable queue is full and the coordinator should 429 new logical jobs.
-func (r *Registry) QueueHeadroom() int {
-	head := 0
-	for _, w := range r.workers {
-		w.mu.Lock()
-		if w.state == WorkerHealthy || w.state == WorkerDegraded {
-			head += w.capacity - w.depth - w.inflight
-		}
-		w.mu.Unlock()
-	}
-	return head
 }
 
 // Usable reports how many workers are currently dispatchable.
@@ -272,7 +239,7 @@ func (r *Registry) Usable() int {
 	n := 0
 	for _, w := range r.workers {
 		w.mu.Lock()
-		if w.state == WorkerHealthy || w.state == WorkerDegraded {
+		if w.status.State.usable() {
 			n++
 		}
 		w.mu.Unlock()
@@ -286,17 +253,7 @@ func (r *Registry) Snapshot() []WorkerStatus {
 	out := make([]WorkerStatus, 0, len(r.workers))
 	for _, w := range r.workers {
 		w.mu.Lock()
-		out = append(out, WorkerStatus{
-			URL:       w.URL,
-			State:     w.state,
-			Version:   w.health.Version,
-			GoVersion: w.health.GoVersion,
-			Depth:     w.depth,
-			Capacity:  w.capacity,
-			Executed:  w.executed,
-			Inflight:  w.inflight,
-			Error:     w.lastError,
-		})
+		out = append(out, w.status)
 		w.mu.Unlock()
 	}
 	return out

@@ -1,316 +1,93 @@
 package fleet
 
 import (
-	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
-	"strconv"
-	"time"
 
 	"repro/internal/serve"
 )
 
-// maxSpecBytes mirrors the worker-side submit bound.
-const maxSpecBytes = 1 << 20
-
-// Server is the HTTP face of a Coordinator. It speaks the same /v1
-// jobs dialect as a worker — submit, status, wait, trace, healthz,
-// stats, metrics — so serve.Client and mcctl work against a coordinator
-// unchanged, plus the fleet-only endpoints /v1/fleet (worker pool and
-// job table) and /v1/fleet/events (coordinator-wide event stream).
-type Server struct {
-	coord *Coordinator
-	mux   *http.ServeMux
-}
-
-// NewServer wraps a coordinator in the fleet API.
-func NewServer(c *Coordinator) *Server {
-	srv := &Server{coord: c, mux: http.NewServeMux()}
-	srv.mux.HandleFunc("POST /v1/jobs", srv.handleSubmit)
-	srv.mux.HandleFunc("GET /v1/jobs/{id}", srv.handleJob)
-	srv.mux.HandleFunc("GET /v1/jobs/{id}/events", srv.handleJobEvents)
-	srv.mux.HandleFunc("GET /v1/jobs/{id}/trace", srv.handleTrace)
-	srv.mux.HandleFunc("GET /v1/fleet", srv.handleFleet)
-	srv.mux.HandleFunc("GET /v1/fleet/events", srv.handleFleetEvents)
-	srv.mux.HandleFunc("GET /v1/healthz", srv.handleHealthz)
-	srv.mux.HandleFunc("GET /v1/stats", srv.handleStats)
-	srv.mux.HandleFunc("GET /metrics", srv.handleMetrics)
-	return srv
-}
-
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
-}
-
-type apiError struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
-}
-
-// SubmitResponse is the fleet POST /v1/jobs reply: the same envelope a
-// worker sends, with the richer JobView in the status slot. A decoder
-// expecting serve.SubmitResponse reads it unchanged (the extra shards
-// array is ignored).
-type SubmitResponse struct {
-	ID        serve.Digest `json:"id"`
-	Admission string       `json:"admission"`
-	Status    JobView      `json:"status"`
-}
-
-// handleSubmit admits a logical job, mirroring the worker submit
-// contract: 200 terminal, 202 admitted, 400 invalid, 429 fleet busy
-// (Retry-After set), 503 draining. ?wait= blocks like the worker's.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	if len(body) > maxSpecBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, "job spec exceeds %d bytes", maxSpecBytes)
-		return
-	}
-	spec, err := serve.DecodeSpec(body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	job, adm, err := s.coord.Submit(spec)
-	switch {
-	case errors.Is(err, ErrBusy):
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.coord.RetryAfter().Seconds())))
-		writeError(w, http.StatusTooManyRequests, "%v", err)
-		return
-	case errors.Is(err, ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
-	if wait, ok := parseWait(r.URL.Query().Get("wait")); ok {
-		ctx := r.Context()
-		if wait > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, wait)
-			defer cancel()
+// NewServer wraps a coordinator in the /v1 API. It is the scheduler's
+// own serve.Server — submit, healthz, 429/503 and wait semantics
+// included — with the routes only a coordinator can answer overridden:
+// the job, events and trace views carry the shard table, stats and
+// metrics carry the worker pool, and /v1/fleet plus /v1/fleet/events
+// expose the pool and the coordinator-wide event stream.
+func NewServer(c *Coordinator) http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("/", serve.NewServer(c.Scheduler))
+	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		if job, ok := serve.JobFromPath(w, r, c.Scheduler); ok {
+			serve.WriteJSON(w, http.StatusOK, c.View(job))
 		}
-		select {
-		case <-job.Done():
-		case <-ctx.Done():
-		}
-	}
-
-	st := job.Status()
-	code := http.StatusAccepted
-	if st.State == serve.StateDone || st.State == serve.StateFailed {
-		code = http.StatusOK
-	}
-	writeJSON(w, code, SubmitResponse{ID: job.Digest(), Admission: adm.String(), Status: st})
-}
-
-// parseWait mirrors the worker-side semantics: absent/false disables
-// waiting; "true"/"1" waits until the request context ends; a Go
-// duration bounds the wait.
-func parseWait(v string) (time.Duration, bool) {
-	switch v {
-	case "":
-		return 0, false
-	case "0", "false", "no":
-		return 0, false
-	case "1", "true", "yes":
-		return 0, true
-	}
-	if d, err := time.ParseDuration(v); err == nil && d > 0 {
-		return d, true
-	}
-	return 0, false
-}
-
-func pathDigest(w http.ResponseWriter, r *http.Request) (serve.Digest, bool) {
-	d := serve.Digest(r.PathValue("id"))
-	if !d.Valid() {
-		writeError(w, http.StatusNotFound, "fleet: malformed job id (want 64 lowercase hex digits)")
-		return "", false
-	}
-	return d, true
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	d, ok := pathDigest(w, r)
-	if !ok {
-		return
-	}
-	job, ok := s.coord.Job(d)
-	if !ok {
-		writeError(w, http.StatusNotFound, "fleet: unknown job %s", d.Short())
-		return
-	}
-	writeJSON(w, http.StatusOK, job.Status())
-}
-
-// handleJobEvents streams one logical job's shard lifecycle events as
-// NDJSON with the same ?from=N resume contract as a worker's event
-// stream: lines are indexed in the job's bounded tail, and a client
-// that counted received lines reconnects where it stopped. The stream
-// ends when the job is terminal and the tail is drained.
-func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	d, ok := pathDigest(w, r)
-	if !ok {
-		return
-	}
-	job, ok := s.coord.Job(d)
-	if !ok {
-		writeError(w, http.StatusNotFound, "fleet: unknown job %s", d.Short())
-		return
-	}
-	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
-	if err != nil {
-		from = 0
-	}
-	streamTail(w, r, job.tail, from, job.Done())
-}
-
-// handleFleetEvents streams the coordinator-wide event tail — every
-// job's lifecycle interleaved — until the client disconnects.
-func (s *Server) handleFleetEvents(w http.ResponseWriter, r *http.Request) {
-	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
-	if err != nil {
-		from = 0
-	}
-	streamTail(w, r, s.coord.Tail(), from, nil)
-}
-
-// streamTail ships tail lines from index `from`, flushing as they
-// appear, until the client goes away — or, when done is non-nil, until
-// done closes and the tail is drained.
-func streamTail(w http.ResponseWriter, r *http.Request, tail *serve.LineTail, from uint64, done <-chan struct{}) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	if tail == nil {
-		return
-	}
-	flusher, _ := w.(http.Flusher)
-	cursor := from
-	ship := func() bool {
-		lines, first := tail.Since(cursor)
-		cursor = first
-		for _, ln := range lines {
-			if _, err := w.Write(ln); err != nil {
-				return false
-			}
-			if _, err := w.Write([]byte("\n")); err != nil {
-				return false
-			}
-			cursor++
-		}
-		if len(lines) > 0 && flusher != nil {
-			flusher.Flush()
-		}
-		return true
-	}
-	ctx := r.Context()
-	tick := time.NewTicker(20 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		if !ship() {
+	})
+	// One logical job's shard lifecycle events, with the same ?from=N
+	// resume contract as a worker's event stream; it ends when the job is
+	// terminal and the tail is drained.
+	mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
+		job, ok := serve.JobFromPath(w, r, c.Scheduler)
+		if !ok {
 			return
 		}
-		if done != nil {
-			select {
-			case <-done:
-				ship()
-				return
-			case <-ctx.Done():
-				return
-			case <-tick.C:
-			}
-			continue
+		var tail *serve.LineTail
+		if run := c.lookup(job.Digest()); run != nil {
+			tail = run.tail
 		}
-		select {
-		case <-ctx.Done():
+		serve.StreamTail(w, r, tail, job.Done(), nil)
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
+		job, ok := serve.JobFromPath(w, r, c.Scheduler)
+		if !ok {
 			return
-		case <-tick.C:
 		}
-	}
+		tr, err := c.Trace(job)
+		if errors.Is(err, serve.ErrJobRunning) {
+			serve.WriteError(w, http.StatusConflict, "fleet: job %s not finished; retry after completion", job.Digest().Short())
+			return
+		}
+		if err != nil {
+			serve.WriteError(w, http.StatusInternalServerError, "fleet: build trace: %v", err)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		_ = tr.Write(w)
+	})
+	mux.HandleFunc("GET /v1/fleet", func(w http.ResponseWriter, r *http.Request) {
+		serve.WriteJSON(w, http.StatusOK, c.Fleet())
+	})
+	// Every job's lifecycle interleaved, until the client disconnects.
+	mux.HandleFunc("GET /v1/fleet/events", func(w http.ResponseWriter, r *http.Request) {
+		serve.StreamTail(w, r, c.tail, nil, nil)
+	})
+	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
+		serve.WriteJSON(w, http.StatusOK, c.Stats())
+	})
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		w.WriteHeader(http.StatusOK)
+		_ = WriteMetrics(w, c.Stats())
+	})
+	return mux
 }
 
-// FleetView is the GET /v1/fleet reply: the worker pool and the job
-// table, newest job last (submit order).
+// FleetView is the GET /v1/fleet reply: the worker pool and the jobs
+// whose shard views the coordinator still holds, oldest run first.
 type FleetView struct {
 	Workers []WorkerStatus `json:"workers"`
 	Jobs    []JobView      `json:"jobs"`
 }
 
-func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
-	s.coord.mu.Lock()
-	jobs := append([]*FleetJob(nil), s.coord.jobs...)
-	s.coord.mu.Unlock()
-	view := FleetView{
-		Workers: s.coord.registry.Snapshot(),
-		Jobs:    make([]JobView, 0, len(jobs)),
+// Fleet snapshots the worker pool and the held job views.
+func (c *Coordinator) Fleet() FleetView {
+	c.mu.Lock()
+	order := append([]serve.Digest(nil), c.order...)
+	c.mu.Unlock()
+	view := FleetView{Workers: c.registry.Snapshot(), Jobs: make([]JobView, 0, len(order))}
+	for _, d := range order {
+		if job, ok := c.Job(d); ok {
+			view.Jobs = append(view.Jobs, c.View(job))
+		}
 	}
-	for _, j := range jobs {
-		view.Jobs = append(view.Jobs, j.Status())
-	}
-	writeJSON(w, http.StatusOK, view)
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	h := s.coord.Health()
-	code := http.StatusOK
-	if h.Status == "draining" {
-		code = http.StatusServiceUnavailable
-	}
-	writeJSON(w, code, h)
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.coord.Stats())
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_ = WriteMetrics(w, s.coord.Stats())
-}
-
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	d, ok := pathDigest(w, r)
-	if !ok {
-		return
-	}
-	job, ok := s.coord.Job(d)
-	if !ok {
-		writeError(w, http.StatusNotFound, "fleet: unknown job %s", d.Short())
-		return
-	}
-	tr, err := BuildTrace(job)
-	if errors.Is(err, serve.ErrJobRunning) {
-		writeError(w, http.StatusConflict, "fleet: job %s not finished; retry after completion", d.Short())
-		return
-	}
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "fleet: build trace: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_ = tr.Write(w)
+	return view
 }

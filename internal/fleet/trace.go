@@ -1,54 +1,35 @@
 package fleet
 
 import (
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/obs/span"
 	"repro/internal/serve"
 )
 
-// BuildTrace renders a finished fleet job's timeline as a Perfetto
-// trace: the coordinator track group carries the root job span and the
-// aggregate queue wait, and each shard gets its own track with its
-// dispatch span plus the worker-reported queue/run sub-spans scaled
-// into the dispatch window — the coordinator→worker causality in one
-// picture. Timestamps are microseconds relative to submission.
-func BuildTrace(j *FleetJob) (*span.Trace, error) {
-	j.mu.Lock()
-	state := j.state
-	submitted, started, finished := j.submitted, j.started, j.finished
-	type shardSnap struct {
-		shard    Shard
-		state    ShardState
-		worker   string
-		attempts int
-		queuedMs int64
-		runMs    int64
-		start    time.Time
-		end      time.Time
-		cached   bool
-		errMsg   string
+// Trace renders a finished fleet job's timeline as a Perfetto trace:
+// the coordinator track group carries the root job span and the queue
+// wait, and each shard gets its own track with its dispatch span plus
+// the worker-reported queue/run sub-spans scaled into the dispatch
+// window — the coordinator→worker causality in one picture. Timestamps
+// are microseconds relative to submission. A cache hit that never ran
+// here has no shard tracks.
+func (c *Coordinator) Trace(j *serve.Job) (*span.Trace, error) {
+	var shards []shardRun
+	if r := c.lookup(j.Digest()); r != nil {
+		if r.job != nil {
+			j = r.job // a later cache hit replaced the record; trace the run
+		}
+		shards = r.snapshot()
 	}
-	shards := make([]shardSnap, 0, len(j.shards))
-	for _, sr := range j.shards {
-		shards = append(shards, shardSnap{
-			shard: sr.shard, state: sr.state, worker: sr.worker,
-			attempts: sr.attempts, queuedMs: sr.queuedMs, runMs: sr.runMs,
-			start: sr.start, end: sr.end, cached: sr.cached, errMsg: sr.errMsg,
-		})
-	}
-	cached := j.cachedHit
-	recovered := j.recovered
-	errMsg := j.errMsg
-	j.mu.Unlock()
-	if state != serve.StateDone && state != serve.StateFailed {
+	st := j.Status()
+	if st.State != serve.StateDone && st.State != serve.StateFailed {
 		return nil, serve.ErrJobRunning
 	}
-
-	t0 := submitted
-	if t0.IsZero() {
-		t0 = started
-	}
+	// A record that never ran here (a cache hit) has no times at all.
+	t0, started, finished := j.Times()
 	us := func(t time.Time) float64 {
 		if t.IsZero() || t.Before(t0) {
 			return 0
@@ -61,25 +42,17 @@ func BuildTrace(j *FleetJob) (*span.Trace, error) {
 	tr.Thread(0, 0, "job")
 
 	rootArgs := map[string]any{
-		"id":     j.plan.Digest.Short(),
-		"kind":   string(j.plan.Spec.Kind),
-		"state":  string(state),
-		"shards": len(shards),
+		"id": st.ID.Short(), "kind": string(st.Kind), "state": string(st.State),
+		"shards": len(shards), "cached": st.Cached, "recovered": st.Recovered,
 	}
-	if cached {
-		rootArgs["cached"] = true
-	}
-	if recovered {
-		rootArgs["recovered"] = true
-	}
-	if errMsg != "" {
-		rootArgs["error"] = errMsg
+	if st.Error != "" {
+		rootArgs["error"] = st.Error
 	}
 	tr.Add(span.Span{
 		Name: "fleet job", Cat: "fleet", Pid: 0, Tid: 0,
 		Start: 0, Dur: us(finished), Args: rootArgs,
 	})
-	if !started.IsZero() && !submitted.IsZero() {
+	if !started.IsZero() {
 		tr.Add(span.Span{
 			Name: "plan + queue", Cat: "fleet", Pid: 0, Tid: 0,
 			Start: 0, Dur: us(started),
@@ -88,23 +61,21 @@ func BuildTrace(j *FleetJob) (*span.Trace, error) {
 
 	for i, sn := range shards {
 		tid := int64(i + 1)
-		tr.Thread(0, tid, shardLabel(sn.shard.Index))
+		tr.Thread(0, tid, "shard "+strconv.Itoa(sn.Index))
 		args := map[string]any{
-			"shard":    sn.shard.Index,
-			"digest":   sn.shard.Digest.Short(),
-			"state":    string(sn.state),
-			"attempts": sn.attempts,
+			"shard":    sn.Index,
+			"digest":   sn.Digest.Short(),
+			"state":    string(sn.State),
+			"attempts": sn.Attempts,
+			"cached":   sn.Cached,
 		}
-		if sn.worker != "" {
-			args["worker"] = workerShort(sn.worker)
+		if _, host, ok := strings.Cut(sn.Worker, "://"); ok {
+			args["worker"] = host // host:port is all the identity a timeline needs
 		}
-		if sn.cached {
-			args["cached"] = true
+		if sn.Error != "" {
+			args["error"] = sn.Error
 		}
-		if sn.errMsg != "" {
-			args["error"] = sn.errMsg
-		}
-		if sn.cached || sn.start.IsZero() {
+		if sn.Cached || sn.start.IsZero() {
 			// Spool-recovered shard: no dispatch window; a zero-width marker
 			// at the job start records it was adopted, not run.
 			tr.Add(span.Span{
@@ -123,8 +94,8 @@ func BuildTrace(j *FleetJob) (*span.Trace, error) {
 		// submit returned, so [end-run, end] approximates execution and the
 		// queue wait sits immediately before it. Millisecond-grain numbers
 		// from JobStatus, placed on the coordinator's clock.
-		runUs := float64(sn.runMs) * 1000
-		queuedUs := float64(sn.queuedMs) * 1000
+		runUs := float64(sn.RunMs) * 1000
+		queuedUs := float64(sn.QueuedMs) * 1000
 		window := dispatchEnd - dispatchStart
 		if runUs+queuedUs > window {
 			// A reassigned shard's dispatch window can be shorter than the
@@ -138,14 +109,14 @@ func BuildTrace(j *FleetJob) (*span.Trace, error) {
 			tr.Add(span.Span{
 				Name: "worker run", Cat: "worker", Pid: 0, Tid: tid,
 				Start: dispatchEnd - runUs, Dur: runUs,
-				Args: map[string]any{"runMs": sn.runMs},
+				Args: map[string]any{"runMs": sn.RunMs},
 			})
 		}
 		if queuedUs > 0 {
 			tr.Add(span.Span{
 				Name: "worker queue", Cat: "worker", Pid: 0, Tid: tid,
 				Start: dispatchEnd - runUs - queuedUs, Dur: queuedUs,
-				Args: map[string]any{"queuedMs": sn.queuedMs},
+				Args: map[string]any{"queuedMs": sn.QueuedMs},
 			})
 		}
 	}

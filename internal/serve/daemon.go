@@ -28,8 +28,8 @@ import (
 // nonzero on startup failure or an incomplete drain.
 func DaemonMain(args []string) int {
 	fs := flag.NewFlagSet("mcservd", flag.ContinueOnError)
+	d := NewDaemon(fs, "127.0.0.1:8329")
 	var (
-		addr         = fs.String("addr", "127.0.0.1:8329", "listen address")
 		shards       = fs.Int("shards", 4, "worker shards")
 		queue        = fs.Int("queue", 64, "per-shard queue depth")
 		jobTimeout   = fs.Duration("job-timeout", 10*time.Minute, "per-attempt job timeout")
@@ -40,23 +40,15 @@ func DaemonMain(args []string) int {
 		journalPath  = fs.String("journal", "auto", "write-ahead job journal path (auto = <spool>/journal.wal, none = disabled)")
 		ckptDir      = fs.String("checkpoints", "auto", "job checkpoint directory (auto = <spool>/checkpoints, none = disabled)")
 		ckptEvery    = fs.Int("checkpoint-every", 8, "checkpoint cadence in work units (sweep points, campaign trials)")
-		drainTimeout = fs.Duration("drain-timeout", 5*time.Minute, "graceful drain budget on SIGTERM")
-		portFile     = fs.String("portfile", "", "write the bound listen address to this file once serving")
-		logFormat    = fs.String("log-format", "text", "log output format: text or json")
 		captureEv    = fs.Int("capture-events", 0, "per-job trace capture buffer in events (0 = default)")
 		engine       = fs.String("engine", string(sim.EngineFast), "bit-slot engine: fast or reference (identical traces)")
 		mutexProf    = fs.String("mutexprofile", "", "write a mutex-contention profile here on clean exit")
 		blockProf    = fs.String("blockprofile", "", "write a blocking-event profile here on clean exit")
 	)
-	if err := fs.Parse(args); err != nil {
+	if !d.Parse(fs, args, "mcservd") {
 		return 2
 	}
-	logger, err := obs.NewLogger(os.Stderr, *logFormat, slog.LevelInfo)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mcservd:", err)
-		return 2
-	}
-	logger = logger.With("component", "mcservd")
+	logger := d.Logger
 
 	// The engine is an execution knob like parallelism: it changes how
 	// fast jobs run, never their content-addressed results, so it is a
@@ -76,19 +68,6 @@ func DaemonMain(args []string) int {
 		}
 	}()
 
-	resolve := func(v, def string) string {
-		switch v {
-		case "auto":
-			if *spool == "" {
-				return ""
-			}
-			return filepath.Join(*spool, def)
-		case "none", "off":
-			return ""
-		}
-		return v
-	}
-
 	sched, err := NewScheduler(Config{
 		Shards:          *shards,
 		QueueDepth:      *queue,
@@ -98,8 +77,8 @@ func DaemonMain(args []string) int {
 		CacheEntries:    *cacheEntries,
 		CaptureEvents:   *captureEv,
 		SpoolDir:        *spool,
-		JournalPath:     resolve(*journalPath, "journal.wal"),
-		CheckpointDir:   resolve(*ckptDir, "checkpoints"),
+		JournalPath:     StorePath(*journalPath, *spool, "journal.wal"),
+		CheckpointDir:   StorePath(*ckptDir, *spool, "checkpoints"),
 		CheckpointEvery: *ckptEvery,
 		Logger:          logger,
 		// Durability degradation and journal recovery land in the daemon
@@ -114,23 +93,100 @@ func DaemonMain(args []string) int {
 		return 1
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	d.Handler = NewServer(sched)
+	d.Drain = func(ctx context.Context) error {
+		err := sched.Drain(ctx)
+		st := sched.Stats()
+		logger.Info("drained",
+			"executed", st.Jobs.Executed, "coalesced", st.Jobs.Coalesced,
+			"cache_hits", st.Cache.Hits, "failed", st.Jobs.Failed,
+			"recovered", st.Durability.RecoveredJobs)
+		return err
+	}
+	return d.Run("shards", *shards, "queue", *queue, "cache", *cacheEntries, "spool", *spool)
+}
+
+// StorePath resolves a durable-store path flag: "auto" places def
+// under the spool directory (nothing without a spool), "none" or "off"
+// disables the store, anything else is used as given.
+func StorePath(v, spool, def string) string {
+	switch v {
+	case "auto":
+		if spool == "" {
+			return ""
+		}
+		return filepath.Join(spool, def)
+	case "none", "off":
+		return ""
+	}
+	return v
+}
+
+// Daemon is the serving loop both daemon roles share: listen, publish
+// the bound address, serve until SIGINT or SIGTERM, then drain and shut
+// the listener down.
+type Daemon struct {
+	Addr     string
+	PortFile string // if non-empty, receives the bound address once serving
+	Handler  http.Handler
+	// DrainTimeout bounds Drain and the HTTP shutdown after it.
+	DrainTimeout time.Duration
+	// Drain stops admissions and finishes in-flight work within ctx,
+	// logging its own summary; an error makes the exit code 1.
+	Drain  func(ctx context.Context) error
+	Logger *slog.Logger
+
+	logFormat string
+}
+
+// NewDaemon registers the flags both daemon roles share — listen
+// address, portfile, drain budget and log format — on fs, and returns
+// the Daemon that parsing them fills in.
+func NewDaemon(fs *flag.FlagSet, addr string) *Daemon {
+	d := &Daemon{}
+	fs.StringVar(&d.Addr, "addr", addr, "listen address")
+	fs.StringVar(&d.PortFile, "portfile", "", "write the bound listen address to this file once serving")
+	fs.DurationVar(&d.DrainTimeout, "drain-timeout", 5*time.Minute, "graceful drain budget on SIGTERM")
+	fs.StringVar(&d.logFormat, "log-format", "text", "log output format: text or json")
+	return d
+}
+
+// Parse parses args with fs and opens the daemon's logger, tagged with
+// component. False means the daemon must exit with code 2; the reason
+// has been printed.
+func (d *Daemon) Parse(fs *flag.FlagSet, args []string, component string) bool {
+	if err := fs.Parse(args); err != nil {
+		return false
+	}
+	logger, err := obs.NewLogger(os.Stderr, d.logFormat, slog.LevelInfo)
 	if err != nil {
-		logger.Error("listen failed", "addr", *addr, "err", err)
+		fmt.Fprintln(os.Stderr, "mcservd:", err)
+		return false
+	}
+	d.Logger = logger.With("component", component)
+	return true
+}
+
+// Run serves until a signal, then drains. attrs extend the "listening"
+// log line. The returned int is the process exit code: 0 after a clean
+// drain, 1 on a listen or serve failure or an incomplete drain.
+func (d *Daemon) Run(attrs ...any) int {
+	logger := d.Logger
+	ln, err := net.Listen("tcp", d.Addr)
+	if err != nil {
+		logger.Error("listen failed", "addr", d.Addr, "err", err)
 		return 1
 	}
-	if *portFile != "" {
-		if err := os.WriteFile(*portFile, []byte(ln.Addr().String()), 0o644); err != nil {
-			logger.Error("portfile write failed", "path", *portFile, "err", err)
+	if d.PortFile != "" {
+		if err := os.WriteFile(d.PortFile, []byte(ln.Addr().String()), 0o644); err != nil {
+			logger.Error("portfile write failed", "path", d.PortFile, "err", err)
 			return 1
 		}
 	}
-	srv := &http.Server{Handler: NewServer(sched)}
+	srv := &http.Server{Handler: d.Handler}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	logger.Info("listening",
-		"addr", ln.Addr().String(), "shards", *shards, "queue", *queue,
-		"cache", *cacheEntries, "spool", *spool)
+	logger.Info("listening", append([]any{"addr", ln.Addr().String()}, attrs...)...)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -145,18 +201,13 @@ func DaemonMain(args []string) int {
 	// Drain: reject new jobs (503), finish what is queued and running,
 	// then close the listener. The HTTP server stays up through the
 	// drain so clients see 503s, not connection resets.
-	logger.Info("draining", "budget", drainTimeout.String())
-	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	logger.Info("draining", "budget", d.DrainTimeout.String())
+	dctx, cancel := context.WithTimeout(context.Background(), d.DrainTimeout)
 	defer cancel()
-	drainErr := sched.Drain(dctx)
+	drainErr := d.Drain(dctx)
 	if err := srv.Shutdown(dctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logger.Warn("http shutdown", "err", err)
 	}
-	st := sched.Stats()
-	logger.Info("drained",
-		"executed", st.Jobs.Executed, "coalesced", st.Jobs.Coalesced,
-		"cache_hits", st.Cache.Hits, "failed", st.Jobs.Failed,
-		"recovered", st.Durability.RecoveredJobs)
 	if drainErr != nil {
 		logger.Error("drain incomplete", "err", drainErr)
 		return 1

@@ -34,6 +34,7 @@ func WriteMetrics(w io.Writer, st Stats) error {
 
 	counter("mc_jobs_submitted_total", "Job specs admitted, including cache hits and coalesced duplicates.", st.Jobs.Submitted)
 	counter("mc_jobs_coalesced_total", "Submissions merged into an already-running identical job.", st.Jobs.Coalesced)
+	counter("mc_jobs_cached_total", "Submissions answered from the result cache.", st.Jobs.Cached)
 	counter("mc_jobs_executed_total", "Jobs run to completion by a shard worker.", st.Jobs.Executed)
 	counter("mc_jobs_retried_total", "Execution attempts beyond the first.", st.Jobs.Retried)
 	counter("mc_jobs_failed_total", "Jobs that exhausted their attempts.", st.Jobs.Failed)

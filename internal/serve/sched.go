@@ -203,6 +203,15 @@ func (j *Job) Spec() *JobSpec { return j.spec }
 // born terminal.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
+// Times returns the job's submission, start and completion wall times;
+// zero for phases it has not reached, and all zero for a record
+// synthesized from the cache.
+func (j *Job) Times() (submitted, started, finished time.Time) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.submitted, j.started, j.finished
+}
+
 // JobStatus is the serialisable job record served by the API.
 type JobStatus struct {
 	ID            Digest          `json:"id"`
@@ -288,6 +297,7 @@ type Scheduler struct {
 	recoveredJobs    atomic.Uint64
 	submitted        atomic.Uint64
 	coalescedTotal   atomic.Uint64
+	cachedTotal      atomic.Uint64
 	executed         atomic.Uint64
 	retried          atomic.Uint64
 	failed           atomic.Uint64
@@ -531,6 +541,7 @@ func (s *Scheduler) Submit(spec *JobSpec) (*Job, Admission, error) {
 		s.remember(j)
 		s.mu.Unlock()
 		s.submitted.Add(1)
+		s.cachedTotal.Add(1)
 		return j, AdmissionCached, nil
 	}
 	s.mu.Lock()
@@ -569,10 +580,15 @@ func (s *Scheduler) Submit(spec *JobSpec) (*Job, Admission, error) {
 		//lint:allow determinism -- journal latency phase timestamps; not simulation state
 		j.addPhase("journal accept", 0, jnlStart, time.Now())
 	}
+	// The record is remembered in the same critical section as the
+	// (non-blocking) enqueue, so a runner that takes s.mu — Job, Tracked —
+	// always finds its own job in the record table.
+	s.mu.Lock()
 	select {
 	case s.shards[sh].ch <- j:
+		s.remember(j)
+		s.mu.Unlock()
 	default:
-		s.mu.Lock()
 		delete(s.inflight, digest)
 		s.mu.Unlock()
 		s.rejectedFull.Add(1)
@@ -582,9 +598,6 @@ func (s *Scheduler) Submit(spec *JobSpec) (*Job, Admission, error) {
 		s.journalAppend(journal.Record{Op: journal.OpFail, ID: string(digest)})
 		return nil, AdmissionNew, ErrQueueFull
 	}
-	s.mu.Lock()
-	s.remember(j)
-	s.mu.Unlock()
 	s.submitted.Add(1)
 	return j, AdmissionNew, nil
 }
@@ -663,6 +676,16 @@ func (s *Scheduler) remember(j *Job) {
 		}
 		delete(s.records, d)
 	}
+}
+
+// Tracked reports whether the bounded record table still holds a
+// record for d. Layers that keep per-job state of their own prune it by
+// this, so it shares the table's bound.
+func (s *Scheduler) Tracked(d Digest) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.records[d]
+	return ok
 }
 
 // Job returns the record for a digest. A record evicted from the table
@@ -950,6 +973,7 @@ type LatencyStats struct {
 type JobCounters struct {
 	Submitted         uint64 `json:"submitted"`
 	Coalesced         uint64 `json:"coalesced"`
+	Cached            uint64 `json:"cached"`
 	Executed          uint64 `json:"executed"`
 	Retried           uint64 `json:"retried"`
 	Failed            uint64 `json:"failed"`
@@ -1002,6 +1026,7 @@ func (s *Scheduler) Stats() Stats {
 		Jobs: JobCounters{
 			Submitted:         s.submitted.Load(),
 			Coalesced:         s.coalescedTotal.Load(),
+			Cached:            s.cachedTotal.Load(),
 			Executed:          s.executed.Load(),
 			Retried:           s.retried.Load(),
 			Failed:            s.failed.Load(),
@@ -1070,7 +1095,7 @@ func (s *Scheduler) Health() HealthResponse {
 	}
 	h := HealthResponse{
 		Status:      "ok",
-		Version:     BuildVersion(),
+		Version:     buildVersion(),
 		GoVersion:   runtime.Version(),
 		Journal:     storeState(s.jnl != nil, s.jnl != nil && s.jnl.Degraded()),
 		Spool:       storeState(s.cfg.SpoolDir != "", s.cache.Degraded()),
@@ -1085,11 +1110,10 @@ func (s *Scheduler) Health() HealthResponse {
 	return h
 }
 
-// BuildVersion is the main module's version as stamped by the Go
+// buildVersion is the main module's version as stamped by the Go
 // toolchain ("(devel)" for plain builds, a tag or pseudo-version for
-// module-aware installs). Exported for the fleet coordinator, whose
-// healthz carries the same build identity.
-func BuildVersion() string {
+// module-aware installs).
+func buildVersion() string {
 	if bi, ok := debug.ReadBuildInfo(); ok && bi.Main.Version != "" {
 		return bi.Main.Version
 	}

@@ -47,7 +47,9 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as the indented JSON reply body with the given
+// status code.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -55,8 +57,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
+// WriteError writes the uniform {"error": ...} reply body.
+func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
+	WriteJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
 // SubmitResponse is the POST /v1/jobs reply.
@@ -77,29 +80,29 @@ type SubmitResponse struct {
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: %v", err)
+		WriteError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
 	if len(body) > maxSpecBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, "job spec exceeds %d bytes", maxSpecBytes)
+		WriteError(w, http.StatusRequestEntityTooLarge, "job spec exceeds %d bytes", maxSpecBytes)
 		return
 	}
 	spec, err := DecodeSpec(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	job, adm, err := s.sched.Submit(spec)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", strconv.Itoa(int(s.sched.RetryAfter().Seconds())))
-		writeError(w, http.StatusTooManyRequests, "%v", err)
+		WriteError(w, http.StatusTooManyRequests, "%v", err)
 		return
 	case errors.Is(err, ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		WriteError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	case err != nil:
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
@@ -121,7 +124,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if st.State == StateDone || st.State == StateFailed {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, SubmitResponse{ID: job.Digest(), Admission: adm.String(), Status: st})
+	WriteJSON(w, code, SubmitResponse{ID: job.Digest(), Admission: adm.String(), Status: st})
 }
 
 // parseWait interprets the ?wait query parameter: absent/false disables
@@ -150,23 +153,32 @@ func pathDigest(w http.ResponseWriter, r *http.Request) (Digest, bool) {
 	d := Digest(r.PathValue("id"))
 	if !d.Valid() {
 		// The id is not echoed back: it is attacker-controlled input.
-		writeError(w, http.StatusNotFound, "serve: malformed job id (want 64 lowercase hex digits)")
+		WriteError(w, http.StatusNotFound, "serve: malformed job id (want 64 lowercase hex digits)")
 		return "", false
 	}
 	return d, true
 }
 
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
+// JobFromPath resolves the {id} wildcard to a job record of s,
+// answering 404 itself when the id is malformed or unknown.
+func JobFromPath(w http.ResponseWriter, r *http.Request, s *Scheduler) (*Job, bool) {
 	d, ok := pathDigest(w, r)
 	if !ok {
-		return
+		return nil, false
 	}
-	job, ok := s.sched.Job(d)
+	job, ok := s.Job(d)
 	if !ok {
-		writeError(w, http.StatusNotFound, "serve: unknown job %s", d.Short())
+		WriteError(w, http.StatusNotFound, "serve: unknown job %s", d.Short())
+	}
+	return job, ok
+}
+
+func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
+	job, ok := JobFromPath(w, r, s.sched)
+	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, job.Status())
+	WriteJSON(w, http.StatusOK, job.Status())
 }
 
 // handleEvents streams a running job's protocol events as NDJSON, one
@@ -180,78 +192,32 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // and resume exactly where it stopped (lines older than the tail's
 // capacity are gone, as ring overflow already makes the stream lossy).
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	d, ok := pathDigest(w, r)
+	job, ok := JobFromPath(w, r, s.sched)
 	if !ok {
 		return
-	}
-	job, ok := s.sched.Job(d)
-	if !ok {
-		writeError(w, http.StatusNotFound, "serve: unknown job %s", d.Short())
-		return
-	}
-	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
-	if err != nil {
-		from = 0
 	}
 	if job.ring == nil || job.tail == nil {
 		// Cache hits never ran here; there is no event stream.
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
+		StreamTail(w, r, nil, nil, nil)
 		return
 	}
 	select {
 	case job.streamMu <- struct{}{}:
 		defer func() { <-job.streamMu }()
 	default:
-		writeError(w, http.StatusConflict, "serve: job %s already has an event streamer", d.Short())
+		WriteError(w, http.StatusConflict, "serve: job %s already has an event streamer", job.Digest().Short())
 		return
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-
-	// The renderer drains ring events into the tail; the loop below ships
-	// tail lines to the client. Decoupling the two is what makes resume
-	// work: every rendered line is indexed before it is sent anywhere.
+	// The renderer drains ring events into the tail before every pass;
+	// StreamTail ships tail lines to the client. Decoupling the two is
+	// what makes resume work: every rendered line is indexed before it is
+	// sent anywhere.
 	render := obs.NewJSONLStream(&lineSplitter{fn: job.tail.Append}, runTag(job.spec), nil)
-	cursor := from
-	ship := func() bool {
+	StreamTail(w, r, job.tail, job.Done(), func() {
 		job.ring.Drain(render)
 		_ = render.Flush()
-		lines, first := job.tail.Since(cursor)
-		cursor = first
-		for _, ln := range lines {
-			if _, err := w.Write(ln); err != nil {
-				return false
-			}
-			if _, err := w.Write([]byte("\n")); err != nil {
-				return false
-			}
-			cursor++
-		}
-		if len(lines) > 0 && flusher != nil {
-			flusher.Flush()
-		}
-		return true
-	}
-
-	ctx := r.Context()
-	tick := time.NewTicker(10 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		if !ship() {
-			return // client went away
-		}
-		select {
-		case <-job.Done():
-			ship()
-			return
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-		}
-	}
+	})
 }
 
 // runTag picks the JSONL run tag for a job's event stream: the base seed
@@ -299,11 +265,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		// body says what it lost.
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, h)
+	WriteJSON(w, code, h)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.sched.Stats())
+	WriteJSON(w, http.StatusOK, s.sched.Stats())
 }
 
 // handleMetrics serves the scheduler state as Prometheus text
@@ -319,22 +285,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // trace-event JSON, loadable in Perfetto. The timeline is only complete
 // once the job is terminal; a request for a live job gets 409.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	d, ok := pathDigest(w, r)
+	job, ok := JobFromPath(w, r, s.sched)
 	if !ok {
-		return
-	}
-	job, ok := s.sched.Job(d)
-	if !ok {
-		writeError(w, http.StatusNotFound, "serve: unknown job %s", d.Short())
 		return
 	}
 	tr, err := BuildTrace(job)
 	if errors.Is(err, ErrJobRunning) {
-		writeError(w, http.StatusConflict, "serve: job %s not finished; retry after completion", d.Short())
+		WriteError(w, http.StatusConflict, "serve: job %s not finished; retry after completion", job.Digest().Short())
 		return
 	}
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "serve: build trace: %v", err)
+		WriteError(w, http.StatusInternalServerError, "serve: build trace: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -2,7 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"net/http"
+	"strconv"
 	"sync"
+	"time"
 )
 
 // tailCapacity bounds a job's rendered-line tail. At ~150 bytes per
@@ -22,6 +25,7 @@ type LineTail struct {
 	max   int
 }
 
+// NewLineTail creates a tail holding at most max lines (minimum 1).
 func NewLineTail(max int) *LineTail {
 	if max < 1 {
 		max = 1
@@ -29,7 +33,7 @@ func NewLineTail(max int) *LineTail {
 	return &LineTail{max: max}
 }
 
-// append records one rendered line, dropping the oldest beyond capacity.
+// Append records one rendered line, dropping the oldest beyond capacity.
 func (t *LineTail) Append(line []byte) {
 	cp := append([]byte(nil), line...)
 	t.mu.Lock()
@@ -41,7 +45,7 @@ func (t *LineTail) Append(line []byte) {
 	t.mu.Unlock()
 }
 
-// since returns copies of the buffered lines at absolute index >= from
+// Since returns copies of the buffered lines at absolute index >= from
 // and the absolute index of the first returned line (callers detect a
 // gap by comparing it against the index they asked for).
 func (t *LineTail) Since(from uint64) ([][]byte, uint64) {
@@ -62,11 +66,59 @@ func (t *LineTail) Since(from uint64) ([][]byte, uint64) {
 	return out, first
 }
 
-// next returns the absolute index one past the newest buffered line.
-func (t *LineTail) Next() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.start + uint64(len(t.lines))
+// StreamTail serves tail as an NDJSON stream: lines from the absolute
+// index in the request's ?from=N (default 0) onward, flushed as they
+// appear, until the client goes away — or, when done is non-nil, until
+// done closes and the tail is drained. fill, if non-nil, runs before
+// every pass to render new lines into the tail. A nil tail answers an
+// empty stream. Both daemons' event endpoints share this loop.
+func StreamTail(w http.ResponseWriter, r *http.Request, tail *LineTail, done <-chan struct{}, fill func()) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	if tail == nil {
+		return
+	}
+	flusher, _ := w.(http.Flusher)
+	cursor, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
+	if err != nil {
+		cursor = 0
+	}
+	ship := func() bool {
+		if fill != nil {
+			fill()
+		}
+		lines, first := tail.Since(cursor)
+		cursor = first
+		for _, ln := range lines {
+			if _, err := w.Write(ln); err != nil {
+				return false
+			}
+			if _, err := w.Write([]byte("\n")); err != nil {
+				return false
+			}
+			cursor++
+		}
+		if len(lines) > 0 && flusher != nil {
+			flusher.Flush()
+		}
+		return true
+	}
+	ctx := r.Context()
+	tick := time.NewTicker(10 * time.Millisecond)
+	defer tick.Stop()
+	for {
+		if !ship() {
+			return // client went away
+		}
+		select {
+		case <-done: // a nil done never fires: stream until the client leaves
+			ship()
+			return
+		case <-ctx.Done():
+			return
+		case <-tick.C:
+		}
+	}
 }
 
 // lineSplitter adapts a byte stream into whole lines: it buffers writes
