@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build lint test race bench fuzz-smoke crashsmoke repro chaos verify-envelope clean
+.PHONY: all build lint test race bench fuzz-smoke crashsmoke repro chaos verify-envelope loc clean
 
 all: build lint test
 
@@ -72,6 +72,12 @@ chaos:
 # (all <=5-flip patterns; ~25.7M simulations, ~27 min single-threaded).
 verify-envelope:
 	$(GO) run ./cmd/verify -policy majorcan_5 -k 5 -parallel 8
+
+# Non-test Go line counts: the whole tree (the figure CHANGES.md and
+# ROADMAP.md track) and the service package, the largest one.
+loc:
+	@printf 'tree           %s\n' "$$(find internal cmd majorcan examples -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
+	@printf 'internal/serve %s\n' "$$(find internal/serve -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
 
 clean:
 	$(GO) clean ./...

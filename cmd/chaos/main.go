@@ -39,7 +39,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/sim"
 )
 
 // stopProf finalises profiling; exit routes every termination through it.
@@ -154,7 +153,6 @@ func main() {
 	autoRecover := flag.Bool("autorecover", false, "enable bus-off recovery on every node")
 	warningOff := flag.Bool("warnoff", false, "enable the switch-off-at-warning-limit policy")
 	stopFirst := flag.Bool("stopfirst", false, "stop the campaign at the first finding")
-	engine := flag.String("engine", string(sim.EngineFast), "bit-slot engine: fast or reference (identical traces)")
 	outDir := flag.String("out", "", "directory to write finding artifacts into")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON")
 	specPath := flag.String("spec", "", "run a canonical job-spec file (kind campaign or script) instead of the flags")
@@ -181,10 +179,6 @@ func main() {
 		fail("%v", err)
 	}
 	stopProf = sp
-
-	if err := sim.SetDefaultEngine(sim.EngineChoice(*engine)); err != nil {
-		fail("%v", err)
-	}
 
 	// One cancellation path for every long-running mode: SIGINT/SIGTERM
 	// stop a campaign between trials, exactly as a service drain would.

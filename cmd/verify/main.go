@@ -8,36 +8,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/verify"
 )
-
-func parsePolicy(s string) (node.EOFPolicy, error) {
-	switch {
-	case strings.EqualFold(s, "can"):
-		return core.NewStandard(), nil
-	case strings.EqualFold(s, "minorcan"):
-		return core.NewMinorCAN(), nil
-	case strings.HasPrefix(strings.ToLower(s), "majorcan"):
-		m := core.DefaultM
-		if i := strings.IndexByte(s, '_'); i >= 0 {
-			v, err := strconv.Atoi(s[i+1:])
-			if err != nil {
-				return nil, fmt.Errorf("invalid m in %q: %v", s, err)
-			}
-			m = v
-		}
-		return core.NewMajorCAN(m)
-	default:
-		return nil, fmt.Errorf("unknown policy %q", s)
-	}
-}
 
 func main() {
 	policyName := flag.String("policy", "majorcan_5", "protocol: can, minorcan or majorcan_<m>")
@@ -63,7 +39,7 @@ func main() {
 		os.Exit(code)
 	}
 
-	policy, err := parsePolicy(*policyName)
+	policy, err := core.ParsePolicy(*policyName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "verify: %v\n", err)
 		exit(1)

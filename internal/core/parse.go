@@ -8,12 +8,14 @@ import (
 	"repro/internal/node"
 )
 
-// ParsePolicy resolves a protocol name ("can", "minorcan",
-// "majorcan_<m>", case-insensitive; "majorcan" alone uses the default m)
-// to its EOF policy. It accepts exactly the names the policies' Name()
-// methods produce, so serialised specs round-trip. It is the single
-// protocol-name codec shared by the chaos engine, the job-spec layer and
-// every CLI.
+// ParsePolicy resolves a protocol name to its EOF policy. It accepts
+// exactly can, standard, minorcan, majorcan (the default m) and
+// majorcan_<m> with m a plain decimal, case-insensitive and ignoring
+// surrounding space — the names the policies' Name() methods produce,
+// so serialised specs round-trip — and rejects anything else, so a
+// misspelt name can never alias a policy under another job digest. It
+// is the single protocol-name codec shared by the chaos engine, the
+// job-spec layer and every CLI.
 func ParsePolicy(name string) (node.EOFPolicy, error) {
 	s := strings.ToLower(strings.TrimSpace(name))
 	switch {
@@ -21,14 +23,13 @@ func ParsePolicy(name string) (node.EOFPolicy, error) {
 		return NewStandard(), nil
 	case s == "minorcan":
 		return NewMinorCAN(), nil
-	case strings.HasPrefix(s, "majorcan"):
-		m := DefaultM
-		if i := strings.IndexByte(s, '_'); i >= 0 {
-			v, err := strconv.Atoi(s[i+1:])
-			if err != nil {
-				return nil, fmt.Errorf("core: invalid m in protocol %q", name)
-			}
-			m = v
+	case s == "majorcan":
+		return NewMajorCAN(DefaultM)
+	case strings.HasPrefix(s, "majorcan_"):
+		digits := s[len("majorcan_"):]
+		m, err := strconv.Atoi(digits)
+		if err != nil || strconv.Itoa(m) != digits { // no sign, no leading zeros
+			return nil, fmt.Errorf("core: invalid m in protocol %q", name)
 		}
 		return NewMajorCAN(m)
 	default:

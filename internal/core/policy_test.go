@@ -87,3 +87,40 @@ func TestMajorCANNameEncodesM(t *testing.T) {
 		}
 	}
 }
+
+// TestParsePolicyGrammar pins the accepted protocol names: exactly
+// can|standard|minorcan|majorcan|majorcan_<m>. Anything else — in
+// particular a majorcan-prefixed name without a well-formed _<m> — is
+// rejected rather than silently read as the default MajorCAN_5.
+func TestParsePolicyGrammar(t *testing.T) {
+	for _, tt := range []struct {
+		name, want string
+	}{
+		{"can", "CAN"},
+		{"standard", "CAN"},
+		{" CAN ", "CAN"},
+		{"minorcan", "MinorCAN"},
+		{"majorcan", "MajorCAN_5"},
+		{"MajorCAN_5", "MajorCAN_5"},
+		{"majorcan_3", "MajorCAN_3"},
+		{"majorcan_12", "MajorCAN_12"},
+	} {
+		p, err := core.ParsePolicy(tt.name)
+		if err != nil {
+			t.Errorf("ParsePolicy(%q): %v", tt.name, err)
+			continue
+		}
+		if p.Name() != tt.want {
+			t.Errorf("ParsePolicy(%q) = %s, want %s", tt.name, p.Name(), tt.want)
+		}
+	}
+	for _, name := range []string{
+		"majorcan-3", "majorcanx", "majorcan5", "majorcanx_5", "majorcan_", "majorcan_x",
+		"majorcan_+5", "majorcan_05", "majorcan_5_", "majorcan_ 5", "majorcan_2",
+		"minorcan_5", "can_5", "cans", "", "warpdrive",
+	} {
+		if p, err := core.ParsePolicy(name); err == nil {
+			t.Errorf("ParsePolicy(%q) accepted as %s, want an error", name, p.Name())
+		}
+	}
+}

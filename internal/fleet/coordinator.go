@@ -263,10 +263,8 @@ func (c *Coordinator) lookup(d serve.Digest) *run {
 func (c *Coordinator) View(j *serve.Job) JobView {
 	v := JobView{JobStatus: j.Status()}
 	if r := c.lookup(j.Digest()); r != nil {
-		v.Attempts = 0 // dispatch attempts across all shards
 		for _, sr := range r.snapshot() {
 			v.Shards = append(v.Shards, sr.ShardStatus)
-			v.Attempts += sr.Attempts
 		}
 	}
 	return v

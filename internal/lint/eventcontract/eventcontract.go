@@ -57,7 +57,6 @@ var knownKinds = map[string]bool{
 	"KindIMO":                true,
 	"KindBusOff":             true,
 	"KindRecover":            true,
-	"KindAttemptRetry":       true,
 	"KindStorageDegraded":    true,
 	"KindJournalRecovered":   true,
 	"KindCheckpointSaved":    true,

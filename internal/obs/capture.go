@@ -60,12 +60,3 @@ func (c *Capture) Dropped() uint64 {
 	defer c.mu.Unlock()
 	return c.dropped
 }
-
-// Reset discards the captured events and the drop count, so a retried
-// job attempt starts its capture clean.
-func (c *Capture) Reset() {
-	c.mu.Lock()
-	c.events = c.events[:0]
-	c.dropped = 0
-	c.mu.Unlock()
-}

@@ -68,12 +68,6 @@ const (
 	// KindRecover is a bus-off station rejoining error-active after
 	// monitoring 128 occurrences of 11 consecutive recessive bits.
 	KindRecover
-	// KindAttemptRetry is a harness-level attempt boundary: the previous
-	// execution attempt of a job failed transiently and the run is
-	// starting over, so events after this marker belong to the new
-	// attempt. Station is -1, Slot restarts from the new attempt, Aux
-	// carries the number of attempts already completed.
-	KindAttemptRetry
 	// KindStorageDegraded is a service-level durability fault: a durable
 	// store (journal, result spool or checkpoint directory) failed and the
 	// layer fell back to memory-only operation instead of crashing.
@@ -142,8 +136,6 @@ func (k Kind) String() string {
 		return "bus-off"
 	case KindRecover:
 		return "recover"
-	case KindAttemptRetry:
-		return "attempt-retry"
 	case KindStorageDegraded:
 		return "storage-degraded"
 	case KindJournalRecovered:

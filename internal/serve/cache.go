@@ -3,8 +3,6 @@ package serve
 import (
 	"container/list"
 	"encoding/json"
-	"fmt"
-	"hash/crc32"
 	"sync"
 	"sync/atomic"
 
@@ -21,59 +19,23 @@ type Entry struct {
 	Result json.RawMessage `json:"result"`
 }
 
-// spoolEntry is the on-disk form of an Entry: the entry plus a CRC32
-// over its spec and result bytes. The atomic-rename write path should
-// make torn files impossible, but the CRC makes corruption detectable
-// anyway — storage that lies about fsync, bit rot, or an operator's
-// stray edit all fail the checksum, and a failed checksum quarantines
-// the file rather than serving it.
-type spoolEntry struct {
-	CRC    uint32          `json:"crc"`
-	Spec   json.RawMessage `json:"spec"`
-	Result json.RawMessage `json:"result"`
-}
-
-// entryCRC checksums an entry's content for the spool frame.
-func entryCRC(e Entry) uint32 {
-	c := crc32.ChecksumIEEE(e.Spec)
-	return crc32.Update(c, crc32.IEEETable, e.Result)
-}
-
-// spoolDegradeAfter is the number of consecutive spool write failures
-// that flips the cache to memory-only operation.
-const spoolDegradeAfter = 3
-
 // Cache is the content-addressed result store: an in-memory LRU over
-// canonical entries, keyed by job digest, with an optional on-disk JSON
-// spool behind it. Determinism makes it sound: a digest fully determines
-// its result, so an entry can never go stale — eviction is purely a
-// capacity concern, and a spool file written by any process is valid for
-// every other.
-//
-// The spool is written through the fsio seam with full fsync discipline
-// and read back under CRC verification: a file that fails its checksum
-// is quarantined (renamed aside) and never served, and persistent write
-// failures (disk full, I/O errors) degrade the cache to memory-only
-// instead of failing jobs.
+// canonical entries, keyed by job digest, with an optional on-disk
+// spool (a fileStore of `<digest>.json` files) behind it. Determinism
+// makes it sound: a digest fully determines its result, so an entry can
+// never go stale — eviction is purely a capacity concern, and a spool
+// file written by any process is valid for every other.
 type Cache struct {
 	mu    sync.Mutex
 	max   int
 	ll    *list.List               // front = most recently used
 	items map[Digest]*list.Element // digest -> element holding *cacheEntry
 
-	fs    fsio.FS
-	spool string // spool directory, or "" for memory-only
+	spool *fileStore // nil for memory-only
 
-	spoolFailStreak atomic.Uint32
-	degraded        atomic.Bool
-	onDegrade       func(err error) // called once, on the flip to degraded
-
-	hits        atomic.Uint64
-	misses      atomic.Uint64
-	evictions   atomic.Uint64
-	spoolHits   atomic.Uint64
-	spoolFails  atomic.Uint64
-	quarantined atomic.Uint64
+	hits      atomic.Uint64
+	misses    atomic.Uint64
+	evictions atomic.Uint64
 }
 
 type cacheEntry struct {
@@ -85,42 +47,24 @@ type cacheEntry struct {
 // (minimum 1). A non-empty spoolDir enables the disk spool; the
 // directory is created if missing. fs nil means the real filesystem.
 func NewCache(max int, spoolDir string, fs fsio.FS) (*Cache, error) {
-	if max < 1 {
-		max = 1
+	spool, err := newFileStore(fs, spoolDir, ".json", nil)
+	if err != nil {
+		return nil, err
 	}
-	fs = fsio.OrOS(fs)
-	if spoolDir != "" {
-		if err := fs.MkdirAll(spoolDir, 0o755); err != nil {
-			return nil, fmt.Errorf("serve: cache spool: %w", err)
-		}
-	}
+	return newCache(max, spool), nil
+}
+
+func newCache(capacity int, spool *fileStore) *Cache {
 	return &Cache{
-		max:   max,
+		max:   max(capacity, 1),
 		ll:    list.New(),
 		items: make(map[Digest]*list.Element),
-		fs:    fs,
-		spool: spoolDir,
-	}, nil
-}
-
-// OnDegrade registers a callback invoked once when the spool degrades to
-// memory-only. Must be set before the cache is shared.
-func (c *Cache) OnDegrade(fn func(err error)) { c.onDegrade = fn }
-
-func (c *Cache) spoolPath(d Digest) string {
-	return c.spool + "/" + string(d) + ".json"
-}
-
-// spoolActive reports whether spool I/O should be attempted.
-func (c *Cache) spoolActive(d Digest) bool {
-	return c.spool != "" && !c.degraded.Load() && d.Valid()
+		spool: spool,
+	}
 }
 
 // Get returns the cached entry for a digest. A memory miss falls back to
-// the spool; a spool hit is promoted into memory. Only well-formed
-// digests (Digest.Valid) touch the spool: the digest becomes a file
-// name, and job ids arrive from the URL path, so an unchecked one could
-// address arbitrary *.json files outside the spool directory.
+// the spool; a spool hit is promoted into memory.
 func (c *Cache) Get(d Digest) (Entry, bool) {
 	c.mu.Lock()
 	if el, ok := c.items[d]; ok {
@@ -131,48 +75,26 @@ func (c *Cache) Get(d Digest) (Entry, bool) {
 		return e, true
 	}
 	c.mu.Unlock()
-	if c.spoolActive(d) {
-		if data, err := c.fs.ReadFile(c.spoolPath(d)); err == nil {
-			if e, ok := c.decodeSpool(d, data); ok {
-				c.hits.Add(1)
-				c.spoolHits.Add(1)
-				c.insert(d, e)
-				return e, true
-			}
+	if data, ok := c.spool.get(d); ok {
+		var e Entry
+		if json.Unmarshal(data, &e) == nil && len(e.Result) > 0 {
+			c.hits.Add(1)
+			c.insert(d, e)
+			return e, true
 		}
 	}
 	c.misses.Add(1)
 	return Entry{}, false
 }
 
-// decodeSpool validates one spool file; a malformed or checksum-failing
-// file is quarantined — renamed aside so no later read can serve it and
-// an operator can inspect it — and reported as a miss.
-func (c *Cache) decodeSpool(d Digest, data []byte) (Entry, bool) {
-	var se spoolEntry
-	if json.Unmarshal(data, &se) == nil &&
-		len(se.Result) > 0 && json.Valid(se.Result) &&
-		se.CRC == entryCRC(Entry{Spec: se.Spec, Result: se.Result}) {
-		return Entry{Spec: se.Spec, Result: se.Result}, true
-	}
-	c.quarantined.Add(1)
-	//lint:allow errsink -- best-effort quarantine of an already-corrupt spool file; the miss is the real signal
-	_ = c.fs.Rename(c.spoolPath(d), c.spoolPath(d)+".corrupt")
-	return Entry{}, false
-}
-
 // Put stores an entry under its digest, evicting least-recently-used
 // entries beyond capacity and writing through to the spool. Spool write
-// failures are counted, not fatal — the memory entry stands — and a
-// streak of them degrades the cache to memory-only. Malformed digests
-// are never spooled (see Get), so the spool holds only files named by
-// true content addresses.
+// failures are the store's to count and act on; the memory entry stands.
 func (c *Cache) Put(d Digest, e Entry) {
 	// Normalize both raw messages to the exact bytes a spool read-back
 	// yields: Marshal compacts and HTML-escapes RawMessage fields when
-	// embedding, so a CRC over indented or differently-escaped input
-	// would not survive the round trip and the entry would be
-	// quarantined as corrupt on its first Get.
+	// embedding, so the memory entry and a later spool hit must both
+	// hold the re-encoded form to serve identical bytes.
 	if s, err := json.Marshal(e.Spec); err == nil {
 		e.Spec = s
 	}
@@ -180,28 +102,16 @@ func (c *Cache) Put(d Digest, e Entry) {
 		e.Result = r
 	}
 	c.insert(d, e)
-	if !c.spoolActive(d) {
-		return
-	}
-	data, err := json.Marshal(spoolEntry{CRC: entryCRC(e), Spec: e.Spec, Result: e.Result})
-	if err == nil {
-		err = fsio.WriteFileAtomic(c.fs, c.spoolPath(d), data)
-	}
-	if err == nil {
-		c.spoolFailStreak.Store(0)
-		return
-	}
-	c.spoolFails.Add(1)
-	if c.spoolFailStreak.Add(1) >= spoolDegradeAfter {
-		if c.degraded.CompareAndSwap(false, true) && c.onDegrade != nil {
-			c.onDegrade(err)
+	if c.spool.active(d) {
+		if data, err := json.Marshal(e); err == nil {
+			c.spool.put(d, data)
 		}
 	}
 }
 
 // Degraded reports whether the spool has been switched off after
 // persistent write failures.
-func (c *Cache) Degraded() bool { return c.degraded.Load() }
+func (c *Cache) Degraded() bool { return c.spool.Degraded() }
 
 func (c *Cache) insert(d Digest, e Entry) {
 	c.mu.Lock()
@@ -243,16 +153,19 @@ type CacheStats struct {
 
 // Stats snapshots the counters.
 func (c *Cache) Stats() CacheStats {
+	sp := c.spool.Stats()
 	s := CacheStats{
 		Entries:       c.Len(),
 		Capacity:      c.max,
 		Hits:          c.hits.Load(),
 		Misses:        c.misses.Load(),
 		Evictions:     c.evictions.Load(),
-		SpoolHits:     c.spoolHits.Load(),
-		SpoolFails:    c.spoolFails.Load(),
-		Quarantined:   c.quarantined.Load(),
-		SpoolDegraded: c.degraded.Load(),
+		SpoolHits:     sp.Loaded,
+		Quarantined:   sp.Quarantined,
+		SpoolDegraded: sp.Degraded,
+	}
+	if c.spool != nil {
+		s.SpoolFails = c.spool.failed.Load()
 	}
 	if total := s.Hits + s.Misses; total > 0 {
 		s.HitRatio = float64(s.Hits) / float64(total)

@@ -172,3 +172,42 @@ func TestCacheHitRatio(t *testing.T) {
 		t.Fatalf("hit ratio = %g, want %g", st.HitRatio, want)
 	}
 }
+
+// TestCacheRejectsMisaddressedSpoolFile: a spool file copied onto
+// another digest's name fails verification — its frame names the job it
+// was written for — so it is quarantined and never served as the other
+// job's result.
+func TestCacheRejectsMisaddressedSpoolFile(t *testing.T) {
+	dir := t.TempDir()
+	c, err := NewCache(1, dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := testDigest("a"), testDigest("b")
+	c.Put(a, ent(`{"x":1}`))
+	data, err := os.ReadFile(filepath.Join(dir, string(a)+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pathB := filepath.Join(dir, string(b)+".json")
+	if err := os.WriteFile(pathB, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh, err := NewCache(4, dir, nil) // nothing in memory: reads hit the spool
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, ok := fresh.Get(b); ok {
+		t.Fatalf("job a's spool file served as job b's result %s", e.Result)
+	}
+	if _, err := os.Stat(pathB + ".corrupt"); err != nil {
+		t.Errorf("misaddressed file was not quarantined: %v", err)
+	}
+	if st := fresh.Stats(); st.Quarantined != 1 {
+		t.Errorf("quarantined = %d, want 1", st.Quarantined)
+	}
+	if e, ok := fresh.Get(a); !ok || string(e.Result) != `{"x":1}` {
+		t.Fatalf("job a's own spool file: ok=%v result=%s", ok, e.Result)
+	}
+}

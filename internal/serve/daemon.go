@@ -32,8 +32,7 @@ func DaemonMain(args []string) int {
 	var (
 		shards       = fs.Int("shards", 4, "worker shards")
 		queue        = fs.Int("queue", 64, "per-shard queue depth")
-		jobTimeout   = fs.Duration("job-timeout", 10*time.Minute, "per-attempt job timeout")
-		retries      = fs.Int("retries", 1, "max retries for transient job failures")
+		jobTimeout   = fs.Duration("job-timeout", 10*time.Minute, "per-job execution timeout")
 		parallelism  = fs.Int("parallelism", 1, "intra-job parallelism (sweep points, verify patterns)")
 		cacheEntries = fs.Int("cache", 256, "in-memory result cache entries")
 		spool        = fs.String("spool", "", "result spool directory (empty = memory only)")
@@ -72,7 +71,6 @@ func DaemonMain(args []string) int {
 		Shards:          *shards,
 		QueueDepth:      *queue,
 		JobTimeout:      *jobTimeout,
-		MaxRetries:      *retries,
 		Parallelism:     *parallelism,
 		CacheEntries:    *cacheEntries,
 		CaptureEvents:   *captureEv,

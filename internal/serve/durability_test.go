@@ -107,8 +107,8 @@ func TestDrainRacingSpoolENOSPC(t *testing.T) {
 	if n := degradeEvents(events, obs.StoreSpool); n != 1 {
 		t.Errorf("got %d spool storage-degraded events, want exactly 1", n)
 	}
-	if st := s.Stats(); st.Cache.SpoolFails < spoolDegradeAfter {
-		t.Errorf("spool_fails = %d, want >= %d", st.Cache.SpoolFails, spoolDegradeAfter)
+	if st := s.Stats(); st.Cache.SpoolFails < storeDegradeAfter {
+		t.Errorf("spool_fails = %d, want >= %d", st.Cache.SpoolFails, storeDegradeAfter)
 	}
 }
 
@@ -287,17 +287,15 @@ func TestSchedulerRecoversJournaledJobs(t *testing.T) {
 // TestCheckpointStoreRejectsCorruptAndMisaddressed: checkpoints that
 // fail CRC or carry another job's id are quarantined, not resumed from.
 func TestCheckpointStoreRejectsCorruptAndMisaddressed(t *testing.T) {
-	dir := t.TempDir()
-	cs, err := NewCheckpointStore(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	root := t.TempDir()
+	s, _, _ := storeScheduler(t, root)
+	dir := filepath.Join(root, "ckpt")
 	d := testDigest("ckpt-a")
 	other := testDigest("ckpt-b")
-	if err := cs.Save(d, json.RawMessage(`{"trial":7}`)); err != nil {
-		t.Fatal(err)
+	if !s.ckpt.put(d, json.RawMessage(`{"trial":7}`)) {
+		t.Fatal("checkpoint save failed on a healthy store")
 	}
-	if got, ok := cs.Load(d); !ok || string(got) != `{"trial":7}` {
+	if got, ok := s.ckpt.get(d); !ok || string(got) != `{"trial":7}` {
 		t.Fatalf("round trip failed: %q %v", got, ok)
 	}
 
@@ -309,7 +307,7 @@ func TestCheckpointStoreRejectsCorruptAndMisaddressed(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, string(other)+".ckpt.json"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cs.Load(other); ok {
+	if _, ok := s.ckpt.get(other); ok {
 		t.Fatal("checkpoint addressed to another job was accepted")
 	}
 
@@ -318,10 +316,10 @@ func TestCheckpointStoreRejectsCorruptAndMisaddressed(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, string(d)+".ckpt.json"), bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cs.Load(d); ok {
+	if _, ok := s.ckpt.get(d); ok {
 		t.Fatal("corrupt checkpoint was accepted")
 	}
-	if st := cs.Stats(); st.Quarantined != 2 {
+	if st := s.ckpt.Stats(); st.Quarantined != 2 {
 		t.Errorf("quarantined = %d, want 2", st.Quarantined)
 	}
 }

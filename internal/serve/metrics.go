@@ -36,8 +36,7 @@ func WriteMetrics(w io.Writer, st Stats) error {
 	counter("mc_jobs_coalesced_total", "Submissions merged into an already-running identical job.", st.Jobs.Coalesced)
 	counter("mc_jobs_cached_total", "Submissions answered from the result cache.", st.Jobs.Cached)
 	counter("mc_jobs_executed_total", "Jobs run to completion by a shard worker.", st.Jobs.Executed)
-	counter("mc_jobs_retried_total", "Execution attempts beyond the first.", st.Jobs.Retried)
-	counter("mc_jobs_failed_total", "Jobs that exhausted their attempts.", st.Jobs.Failed)
+	counter("mc_jobs_failed_total", "Jobs whose execution failed.", st.Jobs.Failed)
 	counter("mc_jobs_rejected_queue_full_total", "Submissions rejected because the digest shard's queue was full.", st.Jobs.RejectedQueueFull)
 	counter("mc_jobs_rejected_draining_total", "Submissions rejected during drain.", st.Jobs.RejectedDraining)
 
@@ -48,7 +47,7 @@ func WriteMetrics(w io.Writer, st Stats) error {
 	gauge("mc_cache_hit_ratio", "Hits over lookups since start.", st.Cache.HitRatio)
 	counter("mc_cache_evictions_total", "Entries evicted from the in-memory cache.", st.Cache.Evictions)
 	counter("mc_cache_spool_hits_total", "Misses satisfied from the on-disk spool.", st.Cache.SpoolHits)
-	counter("mc_cache_spool_fails_total", "Spool reads that failed.", st.Cache.SpoolFails)
+	counter("mc_cache_spool_fails_total", "Spool writes that failed.", st.Cache.SpoolFails)
 	counter("mc_cache_quarantined_total", "Corrupt spool entries quarantined.", st.Cache.Quarantined)
 
 	p.Family("mc_queue_depth", "gauge", "Jobs waiting in each shard queue.")

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 
 	"repro/internal/chaos"
@@ -38,38 +37,18 @@ type ExecOptions struct {
 // CheckpointIO is the progress plumbing a job run gets from the
 // scheduler: Load returns the previously persisted payload (if any),
 // Save replaces it, Every sets the batch cadence in work units (sweep
-// points, campaign trials).
+// points, campaign trials). Save has no error to return: checkpoints
+// are best-effort, and the checkpoint store counts write failures and
+// switches itself off after a streak of them.
 type CheckpointIO struct {
 	Load  func() (json.RawMessage, bool)
-	Save  func(json.RawMessage) error
+	Save  func(json.RawMessage)
 	Every int
 }
 
 // Runner executes one normalized job spec and returns its canonical JSON
 // result. The scheduler's default is Execute; tests substitute stubs.
 type Runner func(ctx context.Context, spec *JobSpec, opt ExecOptions) (json.RawMessage, error)
-
-// Transient wraps an error to mark it retryable: the scheduler re-runs
-// the job (bounded by its retry budget) instead of failing it.
-// Simulation outcomes are deterministic and never transient; the marker
-// exists for infrastructure faults around the run.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-type transientError struct{ err error }
-
-func (t *transientError) Error() string { return "transient: " + t.err.Error() }
-func (t *transientError) Unwrap() error { return t.err }
-
-// IsTransient reports whether err is marked retryable.
-func IsTransient(err error) bool {
-	var t *transientError
-	return errors.As(err, &t)
-}
 
 // sweepResume adapts CheckpointIO to the sweep engine's resume contract:
 // the persisted payload is the completed seed-order prefix of point
@@ -87,29 +66,17 @@ func sweepResume(ck *CheckpointIO) *sim.SweepResume {
 			r.Prior = prior
 		}
 	}
-	r.Save = func(done []sim.PointOutcome) error {
-		b, err := json.Marshal(done)
-		if err != nil {
-			return err
+	r.Save = func(done []sim.PointOutcome) {
+		if b, err := json.Marshal(done); err == nil {
+			ck.Save(b)
 		}
-		return ck.Save(b)
 	}
 	return r
 }
 
-// ckptGiveUpAfter is how many consecutive Save failures campaignResume
-// tolerates before it stops checkpointing for the rest of the job. It
-// mirrors the CheckpointStore degrade policy: checkpoints are an
-// optimization, so a dead store must cost redundant work on the next
-// restart, never fail the job — but hammering a failing disk at every
-// trial boundary for the rest of a long campaign helps nobody.
-const ckptGiveUpAfter = 3
-
 // campaignResume adapts CheckpointIO to the campaign engine: the payload
 // is a CampaignProgress snapshot, persisted every Every trial
-// boundaries. Save errors are counted, not discarded: one failure is
-// retried at the next boundary (transient ENOSPC heals), a consecutive
-// run of them disables checkpointing for the remainder of the job.
+// boundaries.
 func campaignResume(ck *CheckpointIO) (*chaos.CampaignProgress, func(chaos.CampaignProgress)) {
 	if ck == nil {
 		return nil, nil
@@ -126,21 +93,14 @@ func campaignResume(ck *CheckpointIO) (*chaos.CampaignProgress, func(chaos.Campa
 		every = 1
 	}
 	boundaries := 0
-	failStreak := 0
 	onProgress := func(p chaos.CampaignProgress) {
 		boundaries++
-		if boundaries%every != 0 || failStreak >= ckptGiveUpAfter {
+		if boundaries%every != 0 {
 			return
 		}
-		b, err := json.Marshal(p)
-		if err != nil {
-			return
+		if b, err := json.Marshal(p); err == nil {
+			ck.Save(b)
 		}
-		if err := ck.Save(b); err != nil {
-			failStreak++
-			return
-		}
-		failStreak = 0
 	}
 	return resume, onProgress
 }

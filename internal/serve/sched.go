@@ -59,10 +59,8 @@ type Config struct {
 	// QueueDepth bounds each shard's FIFO (default 64); a full queue
 	// rejects with ErrQueueFull.
 	QueueDepth int
-	// JobTimeout bounds one execution attempt (default 10m; <0 disables).
+	// JobTimeout bounds one job execution (default 10m; <0 disables).
 	JobTimeout time.Duration
-	// MaxRetries bounds re-runs after a Transient failure (default 1).
-	MaxRetries int
 	// Parallelism bounds concurrent simulations inside one job
 	// (default 1 — cross-job parallelism comes from the shards).
 	Parallelism int
@@ -114,11 +112,6 @@ func (c Config) withDefaults() Config {
 	if c.JobTimeout == 0 {
 		c.JobTimeout = 10 * time.Minute
 	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	} else if c.MaxRetries == 0 {
-		c.MaxRetries = 1
-	}
 	if c.Parallelism < 1 {
 		c.Parallelism = 1
 	}
@@ -164,7 +157,6 @@ type Job struct {
 	phases    []jobPhase
 	state     State
 	shard     int
-	attempts  int
 	cached    bool
 	recovered bool // replayed from the journal after a restart
 	coalesced uint64
@@ -176,20 +168,18 @@ type Job struct {
 }
 
 // jobPhase is one wall-clock service phase of a job's life (a journal
-// append, an execution attempt, a checkpoint save, the cache put),
+// append, the execution attempt, a checkpoint save, the cache put),
 // recorded as it happens and rendered as a service-track span by the
 // trace endpoint.
 type jobPhase struct {
-	name    string
-	attempt int // 1-based attempt the phase belongs to; 0 for job-scoped
-	start   time.Time
-	end     time.Time
+	name       string
+	start, end time.Time
 }
 
 // addPhase records one completed phase.
-func (j *Job) addPhase(name string, attempt int, start, end time.Time) {
+func (j *Job) addPhase(name string, start, end time.Time) {
 	j.mu.Lock()
-	j.phases = append(j.phases, jobPhase{name: name, attempt: attempt, start: start, end: end})
+	j.phases = append(j.phases, jobPhase{name: name, start: start, end: end})
 	j.mu.Unlock()
 }
 
@@ -218,7 +208,6 @@ type JobStatus struct {
 	Kind          Kind            `json:"kind"`
 	State         State           `json:"state"`
 	Shard         int             `json:"shard"`
-	Attempts      int             `json:"attempts,omitempty"`
 	Cached        bool            `json:"cached,omitempty"`
 	Recovered     bool            `json:"recovered,omitempty"`
 	Coalesced     uint64          `json:"coalesced,omitempty"`
@@ -238,7 +227,6 @@ func (j *Job) Status() JobStatus {
 		Kind:      j.spec.Kind,
 		State:     j.state,
 		Shard:     j.shard,
-		Attempts:  j.attempts,
 		Cached:    j.cached,
 		Recovered: j.recovered,
 		Coalesced: j.coalesced,
@@ -268,7 +256,7 @@ type shard struct {
 type Scheduler struct {
 	cfg     Config
 	cache   *Cache
-	ckpt    *CheckpointStore // nil when checkpointing is disabled
+	ckpt    *fileStore       // nil when checkpointing is disabled
 	jnl     *journal.Journal // nil when journaling is disabled
 	metrics *obs.Metrics
 	latency *obs.Histogram // job run latency, milliseconds
@@ -299,7 +287,6 @@ type Scheduler struct {
 	coalescedTotal   atomic.Uint64
 	cachedTotal      atomic.Uint64
 	executed         atomic.Uint64
-	retried          atomic.Uint64
 	failed           atomic.Uint64
 	rejectedFull     atomic.Uint64
 	rejectedDraining atomic.Uint64
@@ -332,41 +319,31 @@ var latencyBoundsMs = []uint64{1, 5, 10, 50, 100, 500, 1000, 5000, 30000, 120000
 // its obligations before taking new ones.
 func NewScheduler(cfg Config) (*Scheduler, error) {
 	cfg = cfg.withDefaults()
-	cache, err := NewCache(cfg.CacheEntries, cfg.SpoolDir, cfg.FS)
+	s := &Scheduler{
+		cfg:      cfg,
+		metrics:  cfg.Metrics,
+		latency:  obs.NewHistogram(latencyBoundsMs),
+		inflight: make(map[Digest]*Job),
+		records:  make(map[Digest]*Job),
+	}
+	spool, err := newFileStore(cfg.FS, cfg.SpoolDir, ".json", s.degradeHook(obs.StoreSpool))
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	s := &Scheduler{
-		cfg:        cfg,
-		cache:      cache,
-		metrics:    cfg.Metrics,
-		latency:    obs.NewHistogram(latencyBoundsMs),
-		rootCtx:    ctx,
-		rootCancel: cancel,
-		inflight:   make(map[Digest]*Job),
-		records:    make(map[Digest]*Job),
-	}
-	cache.OnDegrade(func(error) { s.serviceEvent(obs.KindStorageDegraded, obs.StoreSpool) })
-	if cfg.CheckpointDir != "" {
-		ckpt, err := NewCheckpointStore(cfg.CheckpointDir, cfg.FS)
-		if err != nil {
-			cancel()
-			return nil, fmt.Errorf("serve: checkpoint store: %w", err)
-		}
-		ckpt.OnDegrade(func(error) { s.serviceEvent(obs.KindStorageDegraded, obs.StoreCheckpoint) })
-		s.ckpt = ckpt
+	s.cache = newCache(cfg.CacheEntries, spool)
+	if s.ckpt, err = newFileStore(cfg.FS, cfg.CheckpointDir, ".ckpt.json", s.degradeHook(obs.StoreCheckpoint)); err != nil {
+		return nil, err
 	}
 	var pendingJobs []journal.Record
 	if cfg.JournalPath != "" {
 		jnl, info, err := journal.Open(cfg.FS, cfg.JournalPath)
 		if err != nil {
-			cancel()
 			return nil, fmt.Errorf("serve: journal: %w", err)
 		}
 		s.jnl = jnl
 		pendingJobs = info.Pending
 	}
+	s.rootCtx, s.rootCancel = context.WithCancel(context.Background())
 	//lint:allow determinism -- serving-layer uptime clock; not simulation state
 	s.start = time.Now()
 	s.shards = make([]*shard, cfg.Shards)
@@ -405,6 +382,12 @@ func (s *Scheduler) serviceEvent(kind obs.Kind, aux uint32) {
 	case obs.KindJournalRecovered:
 		s.logInfo("journal recovery replayed unfinished jobs", "jobs", aux)
 	}
+}
+
+// degradeHook is a file store's one-shot degrade callback: a
+// storage-degraded service event naming the store.
+func (s *Scheduler) degradeHook(store uint32) func() {
+	return func() { s.serviceEvent(obs.KindStorageDegraded, store) }
 }
 
 // storeName renders a KindStorageDegraded store code for logs.
@@ -578,7 +561,7 @@ func (s *Scheduler) Submit(spec *JobSpec) (*Job, Admission, error) {
 	s.journalAppend(journal.Record{Op: journal.OpAccept, ID: string(digest), Spec: canonical})
 	if s.jnl != nil {
 		//lint:allow determinism -- journal latency phase timestamps; not simulation state
-		j.addPhase("journal accept", 0, jnlStart, time.Now())
+		j.addPhase("journal accept", jnlStart, time.Now())
 	}
 	// The record is remembered in the same critical section as the
 	// (non-blocking) enqueue, so a runner that takes s.mu — Job, Tracked —
@@ -736,55 +719,21 @@ func (s *Scheduler) runJob(sh *shard, j *Job) {
 	j.started = start
 	j.mu.Unlock()
 
-	var res json.RawMessage
-	var err error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			// A retried attempt replays the whole job, so give it a fresh
-			// metrics fork (the job's fork must not double-count work from
-			// the abandoned attempt) and mark the boundary in the event
-			// ring so a live /events stream can tell the attempts apart.
-			fork := s.metrics.Fork()
-			j.mu.Lock()
-			j.metrics = fork
-			j.mu.Unlock()
-			j.events.Emit(obs.Event{
-				Kind:    obs.KindAttemptRetry,
-				Slot:    0,
-				Station: -1,
-				Aux:     uint32(attempt),
-			})
-		}
-		j.mu.Lock()
-		metrics := j.metrics
-		j.mu.Unlock()
-		ctx := s.rootCtx
-		cancel := context.CancelFunc(func() {})
-		if s.cfg.JobTimeout > 0 {
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
-		}
-		//lint:allow determinism -- attempt phase timestamps; not simulation state
-		attemptStart := time.Now()
-		res, err = s.cfg.Runner(ctx, j.spec, ExecOptions{
-			Parallelism: s.cfg.Parallelism,
-			Events:      j.events,
-			Metrics:     metrics,
-			Checkpoint:  s.checkpointIO(j),
-		})
-		cancel()
-		//lint:allow determinism -- attempt phase timestamps; not simulation state
-		j.addPhase("attempt", attempt+1, attemptStart, time.Now())
-		j.mu.Lock()
-		j.attempts = attempt + 1
-		j.mu.Unlock()
-		if err == nil || !IsTransient(err) || attempt >= s.cfg.MaxRetries || s.rootCtx.Err() != nil {
-			break
-		}
-		s.retried.Add(1)
+	ctx, cancel := s.rootCtx, context.CancelFunc(func() {})
+	if s.cfg.JobTimeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
 	}
+	res, err := s.cfg.Runner(ctx, j.spec, ExecOptions{
+		Parallelism: s.cfg.Parallelism,
+		Events:      j.events,
+		Metrics:     j.metrics,
+		Checkpoint:  s.checkpointIO(j),
+	})
+	cancel()
 
 	//lint:allow determinism -- serving-layer latency measurement; not simulation state
 	runEnd := time.Now()
+	j.addPhase("attempt", start, runEnd)
 	elapsedMs := uint64(runEnd.Sub(start).Milliseconds())
 	sh.executed.Add(1)
 	sh.busyMs.Add(elapsedMs)
@@ -799,16 +748,14 @@ func (s *Scheduler) runJob(sh *shard, j *Job) {
 		putStart := time.Now()
 		s.cache.Put(j.digest, Entry{Spec: j.canonical, Result: res})
 		//lint:allow determinism -- cache-put phase timestamps; not simulation state
-		j.addPhase("cache put", 0, putStart, time.Now())
-		if s.ckpt != nil {
-			s.ckpt.Drop(j.digest)
-		}
+		j.addPhase("cache put", putStart, time.Now())
+		s.ckpt.drop(j.digest)
 		//lint:allow determinism -- journal latency phase timestamps; not simulation state
 		doneStart := time.Now()
 		s.journalAppend(journal.Record{Op: journal.OpDone, ID: string(j.digest)})
 		if s.jnl != nil {
 			//lint:allow determinism -- journal latency phase timestamps; not simulation state
-			j.addPhase("journal done", 0, doneStart, time.Now())
+			j.addPhase("journal done", doneStart, time.Now())
 		}
 	} else {
 		s.failed.Add(1)
@@ -858,7 +805,7 @@ func (s *Scheduler) checkpointIO(j *Job) *CheckpointIO {
 	return &CheckpointIO{
 		Every: s.cfg.CheckpointEvery,
 		Load: func() (json.RawMessage, bool) {
-			raw, ok := s.ckpt.Load(d)
+			raw, ok := s.ckpt.get(d)
 			if ok {
 				j.events.Emit(obs.Event{
 					Kind:    obs.KindCheckpointResumed,
@@ -869,21 +816,20 @@ func (s *Scheduler) checkpointIO(j *Job) *CheckpointIO {
 			}
 			return raw, ok
 		},
-		Save: func(raw json.RawMessage) error {
+		Save: func(raw json.RawMessage) {
 			//lint:allow determinism -- checkpoint phase timestamps; not simulation state
 			saveStart := time.Now()
-			if err := s.ckpt.Save(d, raw); err != nil {
-				return err
+			if !s.ckpt.put(d, raw) {
+				return
 			}
 			//lint:allow determinism -- checkpoint phase timestamps; not simulation state
-			j.addPhase("checkpoint save", 0, saveStart, time.Now())
+			j.addPhase("checkpoint save", saveStart, time.Now())
 			j.events.Emit(obs.Event{
 				Kind:    obs.KindCheckpointSaved,
 				Slot:    0,
 				Station: -1,
 				Aux:     uint32(len(raw)),
 			})
-			return nil
 		},
 	}
 }
@@ -971,10 +917,12 @@ type LatencyStats struct {
 
 // JobCounters are the scheduler's admission and execution totals.
 type JobCounters struct {
-	Submitted         uint64 `json:"submitted"`
-	Coalesced         uint64 `json:"coalesced"`
-	Cached            uint64 `json:"cached"`
-	Executed          uint64 `json:"executed"`
+	Submitted uint64 `json:"submitted"`
+	Coalesced uint64 `json:"coalesced"`
+	Cached    uint64 `json:"cached"`
+	Executed  uint64 `json:"executed"`
+	// Retried is always 0: jobs are deterministic, so the scheduler
+	// never re-runs one. The field stays for API compatibility.
 	Retried           uint64 `json:"retried"`
 	Failed            uint64 `json:"failed"`
 	RejectedQueueFull uint64 `json:"rejected_queue_full"`
@@ -1028,7 +976,6 @@ func (s *Scheduler) Stats() Stats {
 			Coalesced:         s.coalescedTotal.Load(),
 			Cached:            s.cachedTotal.Load(),
 			Executed:          s.executed.Load(),
-			Retried:           s.retried.Load(),
 			Failed:            s.failed.Load(),
 			RejectedQueueFull: s.rejectedFull.Load(),
 			RejectedDraining:  s.rejectedDraining.Load(),
@@ -1099,7 +1046,7 @@ func (s *Scheduler) Health() HealthResponse {
 		GoVersion:   runtime.Version(),
 		Journal:     storeState(s.jnl != nil, s.jnl != nil && s.jnl.Degraded()),
 		Spool:       storeState(s.cfg.SpoolDir != "", s.cache.Degraded()),
-		Checkpoints: storeState(s.ckpt != nil, s.ckpt != nil && s.ckpt.Degraded()),
+		Checkpoints: storeState(s.ckpt != nil, s.ckpt.Degraded()),
 	}
 	if h.Degraded() {
 		h.Status = "degraded"

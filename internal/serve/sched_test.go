@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/obs"
 )
 
 func sweepSpec(t *testing.T, seed int64) *JobSpec {
@@ -166,81 +164,13 @@ func TestSchedulerQueueFullBackpressure(t *testing.T) {
 	}
 }
 
-func TestSchedulerRetriesTransientFailures(t *testing.T) {
-	var calls atomic.Int64
-	runner := func(ctx context.Context, spec *JobSpec, _ ExecOptions) (json.RawMessage, error) {
-		if calls.Add(1) == 1 {
-			return nil, Transient(errors.New("spurious infrastructure fault"))
-		}
-		return json.RawMessage(`"ok"`), nil
-	}
-	s := newTestScheduler(t, Config{Shards: 1, MaxRetries: 2, Runner: runner})
-	j, _, err := s.Submit(sweepSpec(t, 20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-j.Done()
-	st := j.Status()
-	if st.State != StateDone || st.Attempts != 2 {
-		t.Fatalf("status %+v, want done after 2 attempts", st)
-	}
-	if s.Stats().Jobs.Retried != 1 {
-		t.Fatalf("retried = %d, want 1", s.Stats().Jobs.Retried)
-	}
-}
-
-func TestSchedulerRetrySeparatesAttemptTelemetry(t *testing.T) {
-	var calls atomic.Int64
-	var forks [2]*obs.Metrics
-	runner := func(ctx context.Context, spec *JobSpec, opt ExecOptions) (json.RawMessage, error) {
-		n := calls.Add(1)
-		if n <= 2 {
-			forks[n-1] = opt.Metrics
-		}
-		if n == 1 {
-			return nil, Transient(errors.New("spurious infrastructure fault"))
-		}
-		return json.RawMessage(`"ok"`), nil
-	}
-	s := newTestScheduler(t, Config{Shards: 1, MaxRetries: 1, Runner: runner})
-	j, _, err := s.Submit(sweepSpec(t, 22))
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-j.Done()
-	if st := j.Status(); st.State != StateDone || st.Attempts != 2 {
-		t.Fatalf("status %+v, want done after 2 attempts", st)
-	}
-	// Each attempt gets its own metrics fork, so the job's registry never
-	// double-counts work from the abandoned first attempt.
-	if forks[0] == nil || forks[1] == nil || forks[0] == forks[1] {
-		t.Fatalf("attempts shared a metrics fork (%p, %p), want fresh fork per attempt", forks[0], forks[1])
-	}
-	// The event ring carries an attempt-boundary marker between the
-	// attempts, so a live stream can tell them apart.
-	mem := obs.NewMemory()
-	j.ring.Drain(mem)
-	var boundaries int
-	for _, e := range mem.Events() {
-		if e.Kind == obs.KindAttemptRetry {
-			boundaries++
-			if e.Station != -1 || e.Aux != 1 {
-				t.Fatalf("boundary event %+v, want station -1, aux 1", e)
-			}
-		}
-	}
-	if boundaries != 1 {
-		t.Fatalf("attempt-boundary events = %d, want 1", boundaries)
-	}
-}
-
 func TestSchedulerDoesNotRetryDeterministicFailures(t *testing.T) {
 	var calls atomic.Int64
 	runner := func(ctx context.Context, spec *JobSpec, _ ExecOptions) (json.RawMessage, error) {
 		calls.Add(1)
 		return nil, errors.New("simulation rejects this configuration")
 	}
-	s := newTestScheduler(t, Config{Shards: 1, MaxRetries: 3, Runner: runner})
+	s := newTestScheduler(t, Config{Shards: 1, Runner: runner})
 	j, _, err := s.Submit(sweepSpec(t, 21))
 	if err != nil {
 		t.Fatal(err)

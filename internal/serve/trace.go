@@ -14,18 +14,17 @@ var ErrJobRunning = errors.New("serve: job not finished; trace is available at c
 
 // BuildTrace renders a finished job's end-to-end timeline as a Perfetto
 // trace: a service track group with the root job span, the queue wait,
-// the execution attempts and the durability phases (journal appends,
-// checkpoint saves, the cache put), plus one protocol track group per
-// attempt with the per-station spans synthesised from the job's
-// captured event stream. Timestamps are microseconds relative to the
-// job's submission; an attempt's bit slots are scaled to fit its wall
-// duration, so the protocol timeline nests under its attempt span.
+// the execution attempt and the durability phases (journal appends,
+// checkpoint saves, the cache put), plus a protocol track group with
+// the per-station spans synthesised from the job's captured event
+// stream. Timestamps are microseconds relative to the job's submission;
+// the bit slots are scaled to fit the attempt's wall duration, so the
+// protocol timeline nests under the attempt span.
 func BuildTrace(j *Job) (*span.Trace, error) {
 	j.mu.Lock()
 	state := j.state
 	phases := append([]jobPhase(nil), j.phases...)
 	submitted, started, finished := j.submitted, j.started, j.finished
-	attempts := j.attempts
 	cached := j.cached
 	recovered := j.recovered
 	errMsg := j.errMsg
@@ -53,10 +52,9 @@ func BuildTrace(j *Job) (*span.Trace, error) {
 	tr.Thread(0, 1, "durability")
 
 	rootArgs := map[string]any{
-		"id":       j.digest.Short(),
-		"kind":     string(j.spec.Kind),
-		"state":    string(state),
-		"attempts": attempts,
+		"id":    j.digest.Short(),
+		"kind":  string(j.spec.Kind),
+		"state": string(state),
 	}
 	if cached {
 		rootArgs["cached"] = true
@@ -95,71 +93,39 @@ func BuildTrace(j *Job) (*span.Trace, error) {
 		})
 	}
 
-	// Attempt wall windows, for placing and scaling protocol segments.
-	attemptWindow := make(map[int]jobPhase)
-	for _, p := range phases {
-		switch {
-		case p.name == "attempt":
-			attemptWindow[p.attempt] = p
+	var run *jobPhase // the execution attempt's wall window
+	for i, p := range phases {
+		if p.name == "attempt" {
+			run = &phases[i]
 			tr.Add(span.Span{
 				Name: "attempt", Cat: "service", Pid: 0, Tid: 0,
 				Start: us(p.start), Dur: us(p.end) - us(p.start),
-				Args: map[string]any{"attempt": p.attempt},
 			})
-		default:
-			tr.Add(span.Span{
-				Name: p.name, Cat: "durability", Pid: 0, Tid: 1,
-				Start: us(p.start), Dur: us(p.end) - us(p.start),
-			})
+			continue
 		}
+		tr.Add(span.Span{
+			Name: p.name, Cat: "durability", Pid: 0, Tid: 1,
+			Start: us(p.start), Dur: us(p.end) - us(p.start),
+		})
 	}
 
-	// Protocol timelines: the captured stream, split at attempt-retry
-	// markers into one segment per execution attempt, each scaled into
-	// its attempt's wall window.
-	segments := [][]obs.Event{nil}
-	for _, e := range capturedEvents {
-		if e.Kind == obs.KindAttemptRetry {
-			segments = append(segments, nil)
-			continue
-		}
-		segments[len(segments)-1] = append(segments[len(segments)-1], e)
-	}
-	for i, seg := range segments {
-		if len(seg) == 0 {
-			continue
-		}
-		attempt := i + 1
-		offset := us(started)
-		slotMicros := 1.0
-		if w, ok := attemptWindow[attempt]; ok {
-			offset = us(w.start)
-			if extent := span.Extent(seg); extent > 0 {
-				if wall := us(w.end) - us(w.start); wall > 0 {
-					slotMicros = wall / float64(extent)
-				}
+	// The protocol timeline: the captured stream, scaled into the
+	// attempt's wall window.
+	if len(capturedEvents) > 0 {
+		offset, slotMicros := us(started), 1.0
+		if run != nil {
+			offset = us(run.start)
+			if extent, wall := span.Extent(capturedEvents), us(run.end)-us(run.start); extent > 0 && wall > 0 {
+				slotMicros = wall / float64(extent)
 			}
 		}
-		label := "protocol"
-		if len(segments) > 1 {
-			label = "protocol (attempt " + itoa(attempt) + ")"
-		}
-		span.AddProtocol(tr, seg, span.ProtocolOptions{
-			Pid:        int64(attempt),
-			Label:      label,
-			SortIndex:  attempt,
+		span.AddProtocol(tr, capturedEvents, span.ProtocolOptions{
+			Pid:        1,
+			Label:      "protocol",
+			SortIndex:  1,
 			Offset:     offset,
 			SlotMicros: slotMicros,
 		})
 	}
 	return tr, nil
-}
-
-// itoa avoids pulling fmt into the hot path of trace assembly for a
-// two-digit attempt number.
-func itoa(n int) string {
-	if n < 10 {
-		return string([]byte{byte('0' + n)})
-	}
-	return itoa(n/10) + string([]byte{byte('0' + n%10)})
 }

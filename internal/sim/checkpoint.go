@@ -23,9 +23,9 @@ type SweepResume struct {
 	// points, then reports the full completed prefix (default 8).
 	Every int
 	// Save, if non-nil, is called at every batch boundary with the
-	// completed seed-order prefix. Errors are the caller's concern —
-	// checkpointing is best-effort and never fails the sweep.
-	Save func(done []PointOutcome) error
+	// completed seed-order prefix. Checkpointing is best-effort and never
+	// fails the sweep, so persistence failures stay with the saver.
+	Save func(done []PointOutcome)
 }
 
 // validPrefix returns the longest prefix of prior that matches the
@@ -91,7 +91,7 @@ func RunSweepSpecResumable(ctx context.Context, spec SweepSpec, parallelism int,
 	seeds := spec.SeedList()
 	every := len(seeds)
 	var done []PointOutcome
-	var save func([]PointOutcome) error
+	var save func([]PointOutcome)
 	if rz != nil {
 		if rz.Every > 0 {
 			every = rz.Every
@@ -140,7 +140,7 @@ func RunSweepSpecResumable(ctx context.Context, spec SweepSpec, parallelism int,
 			break
 		}
 		if save != nil && len(done) < len(seeds) {
-			_ = save(append([]PointOutcome(nil), done...))
+			save(append([]PointOutcome(nil), done...))
 		}
 	}
 	out.Points = done

@@ -43,9 +43,8 @@ func TestSweepResumeByteIdentical(t *testing.T) {
 	var checkpoints [][]PointOutcome
 	_, err = RunSweepSpecResumable(context.Background(), spec, 2, nil, &SweepResume{
 		Every: 4,
-		Save: func(done []PointOutcome) error {
+		Save: func(done []PointOutcome) {
 			checkpoints = append(checkpoints, done)
-			return nil
 		},
 	})
 	if err != nil {
@@ -111,7 +110,7 @@ func TestSweepCancelledMidBatchNotSaved(t *testing.T) {
 	saves := 0
 	res, err := RunSweepSpecResumable(ctx, spec, 2, nil, &SweepResume{
 		Every: 4,
-		Save:  func([]PointOutcome) error { saves++; return nil },
+		Save:  func([]PointOutcome) { saves++ },
 	})
 	if err != nil {
 		t.Fatal(err)
