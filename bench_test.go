@@ -15,6 +15,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/verify"
 )
 
 // BenchmarkTable1 regenerates Table 1 (expressions 4 and 5 under the ber*
@@ -34,7 +35,7 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
-func benchScenario(b *testing.B, run func() (*scenario.Outcome, error), wantIMO, wantDup bool) {
+func benchScenario(b *testing.B, run func() (*scenario.Outcome, error), want verify.Outcome) {
 	b.Helper()
 	var out *scenario.Outcome
 	var err error
@@ -45,28 +46,25 @@ func benchScenario(b *testing.B, run func() (*scenario.Outcome, error), wantIMO,
 		}
 	}
 	b.StopTimer()
-	if out.IMO != wantIMO {
-		b.Fatalf("%s: IMO = %v, want %v", out.Name, out.IMO, wantIMO)
-	}
-	if out.DoubleReception != wantDup {
-		b.Fatalf("%s: double reception = %v, want %v", out.Name, out.DoubleReception, wantDup)
+	if out.Fate != want {
+		b.Fatalf("%s: fate = %v, want %v", out.Name, out.Fate, want)
 	}
 	b.ReportMetric(float64(out.Recorder.Len()), "bitslots")
 }
 
 // BenchmarkFig1a: the last-bit rule keeps consistency in standard CAN.
 func BenchmarkFig1a(b *testing.B) {
-	benchScenario(b, func() (*scenario.Outcome, error) { return scenario.Fig1a(core.NewStandard()) }, false, false)
+	benchScenario(b, func() (*scenario.Outcome, error) { return scenario.Fig1a(core.NewStandard()) }, verify.Consistent)
 }
 
 // BenchmarkFig1b: double reception at the Y set in standard CAN.
 func BenchmarkFig1b(b *testing.B) {
-	benchScenario(b, func() (*scenario.Outcome, error) { return scenario.Fig1b(core.NewStandard()) }, false, true)
+	benchScenario(b, func() (*scenario.Outcome, error) { return scenario.Fig1b(core.NewStandard()) }, verify.Duplicate)
 }
 
 // BenchmarkFig1c: inconsistent message omission after a transmitter crash.
 func BenchmarkFig1c(b *testing.B) {
-	benchScenario(b, func() (*scenario.Outcome, error) { return scenario.Fig1c(core.NewStandard()) }, true, false)
+	benchScenario(b, func() (*scenario.Outcome, error) { return scenario.Fig1c(core.NewStandard()) }, verify.Omission)
 }
 
 // BenchmarkFig2 replays the Fig. 1 scenarios under MinorCAN: all three end
@@ -77,8 +75,10 @@ func BenchmarkFig2(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if x.IMO || y.IMO || z.IMO || x.DoubleReception || y.DoubleReception || z.DoubleReception {
-			b.Fatal("MinorCAN must keep the Fig. 1 scenarios consistent")
+		for _, out := range []*scenario.Outcome{x, y, z} {
+			if out.Fate == verify.Omission || out.Fate == verify.Duplicate {
+				b.Fatal("MinorCAN must keep the Fig. 1 scenarios consistent")
+			}
 		}
 	}
 }
@@ -86,12 +86,12 @@ func BenchmarkFig2(b *testing.B) {
 // BenchmarkFig3a: the new scenario defeats standard CAN (IMO with a
 // correct transmitter).
 func BenchmarkFig3a(b *testing.B) {
-	benchScenario(b, scenario.Fig3a, true, false)
+	benchScenario(b, scenario.Fig3a, verify.Omission)
 }
 
 // BenchmarkFig3b: the new scenario defeats MinorCAN too.
 func BenchmarkFig3b(b *testing.B) {
-	benchScenario(b, scenario.Fig3b, true, false)
+	benchScenario(b, scenario.Fig3b, verify.Omission)
 }
 
 // BenchmarkFig4 regenerates the MajorCAN_5 per-position behaviour table.
@@ -117,7 +117,7 @@ func BenchmarkFig4(b *testing.B) {
 
 // BenchmarkFig5: MajorCAN_5 stays consistent under five errors.
 func BenchmarkFig5(b *testing.B) {
-	benchScenario(b, func() (*scenario.Outcome, error) { return scenario.Fig5(5) }, false, false)
+	benchScenario(b, func() (*scenario.Outcome, error) { return scenario.Fig5(5) }, verify.Consistent)
 }
 
 // BenchmarkOverhead regenerates the Sections 5-6 overhead comparison: the
@@ -157,8 +157,8 @@ func BenchmarkPropertyMatrix(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if out.IMO != wantIMO[k] {
-				b.Fatalf("%s: IMO = %v, want %v", p.Name(), out.IMO, wantIMO[k])
+			if got := out.Fate == verify.Omission; got != wantIMO[k] {
+				b.Fatalf("%s: IMO = %v, want %v", p.Name(), got, wantIMO[k])
 			}
 		}
 	}

@@ -38,7 +38,6 @@ func main() {
 	rotate := flag.Bool("rotate", false, "rotate the transmitting station")
 	reset := flag.Bool("reset", true, "reset error counters between frames (keep all nodes error-active)")
 	sweep := flag.Int("sweep", 0, "run this many seeds (seed, seed+1, ...) in parallel and aggregate")
-	engine := flag.String("engine", string(sim.EngineFast), "bit-slot engine: fast or reference (identical traces; reference is the escape hatch)")
 	compareEngines := flag.Bool("compare-engines", false, "run the sweep under both engines and report the first diverging slot (debug)")
 	specPath := flag.String("spec", "", "run a canonical job-spec file (kind sweep) instead of the flags")
 	parallel := flag.Int("parallel", 4, "concurrent simulations during a sweep")
@@ -95,9 +94,6 @@ func main() {
 		fatalf("%v", err)
 	}
 	if err := spec.Validate(); err != nil {
-		fatalf("%v", err)
-	}
-	if err := sim.SetDefaultEngine(sim.EngineChoice(*engine)); err != nil {
 		fatalf("%v", err)
 	}
 	if *compareEngines {

@@ -292,9 +292,8 @@ func TestScenarioFiguresEngineTransparent(t *testing.T) {
 			if got, want := fastOut.Summary(), refOut.Summary(); got != want {
 				t.Fatalf("outcomes diverged:\n  fast:      %s\n  reference: %s", got, want)
 			}
-			if fastOut.IMO != refOut.IMO || fastOut.DoubleReception != refOut.DoubleReception {
-				t.Fatalf("verdicts diverged: fast IMO=%v dup=%v, reference IMO=%v dup=%v",
-					fastOut.IMO, fastOut.DoubleReception, refOut.IMO, refOut.DoubleReception)
+			if fastOut.Fate != refOut.Fate {
+				t.Fatalf("verdicts diverged: fast %v, reference %v", fastOut.Fate, refOut.Fate)
 			}
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/abcheck"
-	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/errmodel"
 	"repro/internal/sim"
@@ -113,10 +112,9 @@ func TestOldScenarioPerProtocol(t *testing.T) {
 			s.Cluster.Net.AddDisturber(errmodel.NewScript(
 				errmodel.AtEOFBit(xSet, policy.EOFBits()-1, 1),
 			))
-			s.Cluster.Net.AddProbe(&sim.CrashOnPhase{
+			s.Cluster.Net.AddProbe(&sim.CrashAtFirstFlag{
 				Ctrl:    s.Cluster.Nodes[0],
 				Station: 0,
-				Phase:   bus.PhaseErrorFlag,
 			})
 			if _, err := s.Procs[0].Broadcast([]byte{0xBB}); err != nil {
 				t.Fatal(err)

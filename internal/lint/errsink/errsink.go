@@ -10,7 +10,7 @@
 //     SyncDir, WriteFileAtomic) — every byte of spool, journal and
 //     checkpoint I/O flows through it,
 //   - journal.Journal Append/Close,
-//   - CheckpointStore.Save and Save-shaped checkpoint function fields,
+//   - Save-shaped checkpoint function fields,
 //   - os.Rename and os.File.Sync, the raw forms of the same operations.
 //
 // Best-effort discards (quarantine renames on already-failing paths,
@@ -140,10 +140,6 @@ func durabilityCallee(pass *lint.Pass, call *ast.CallExpr) (string, bool) {
 			}
 			if f.Name() == "Sync" && recvIs(f, "File") {
 				return "os.File.Sync", true
-			}
-		case "repro/internal/serve":
-			if f.Name() == "Save" && recvIs(f, "CheckpointStore") {
-				return "CheckpointStore.Save", true
 			}
 		}
 		return "", false

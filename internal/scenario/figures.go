@@ -2,12 +2,14 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/errmodel"
 	"repro/internal/frame"
 	"repro/internal/node"
+	"repro/internal/verify"
 )
 
 // Default station layout for the figure scenarios: station 0 is the
@@ -19,9 +21,28 @@ var (
 
 const defaultNodes = 5
 
+// tx is the transmitter's station set.
+var tx = []int{0}
+
 // lastEOF returns the 1-based EOF-relative position of the last EOF bit
 // for the given policy.
 func lastEOF(p node.EOFPolicy) int { return p.EOFBits() }
+
+// at flips the view of every listed station at the 1-based EOF-relative
+// position pos.
+func at(stations []int, pos int) verify.Pattern {
+	p := make(verify.Pattern, len(stations))
+	for i, s := range stations {
+		p[i] = verify.Flip{Station: s, Pos: pos}
+	}
+	return p
+}
+
+// fig3Pattern is the paper's new two-disturbance scenario: the X set is
+// disturbed at the last but one EOF bit and the transmitter at the last.
+func fig3Pattern(policy node.EOFPolicy) verify.Pattern {
+	return slices.Concat(at(tx, lastEOF(policy)), at(defaultX, lastEOF(policy)-1))
+}
 
 func baseConfig(name string, policy node.EOFPolicy) Config {
 	return Config{
@@ -38,9 +59,7 @@ func baseConfig(name string, policy node.EOFPolicy) Config {
 // frame consistently.
 func Fig1a(policy node.EOFPolicy) (*Outcome, error) {
 	cfg := baseConfig("Fig. 1a", policy)
-	cfg.Rules = []*errmodel.Rule{
-		errmodel.AtEOFBit(defaultX, lastEOF(policy), 1),
-	}
+	cfg.Rules = at(defaultX, lastEOF(policy)).Rules()
 	return Run(cfg)
 }
 
@@ -50,9 +69,7 @@ func Fig1a(policy node.EOFPolicy) (*Outcome, error) {
 // receives the frame twice (double reception).
 func Fig1b(policy node.EOFPolicy) (*Outcome, error) {
 	cfg := baseConfig("Fig. 1b", policy)
-	cfg.Rules = []*errmodel.Rule{
-		errmodel.AtEOFBit(defaultX, lastEOF(policy)-1, 1),
-	}
+	cfg.Rules = at(defaultX, lastEOF(policy)-1).Rules()
 	return Run(cfg)
 }
 
@@ -62,10 +79,8 @@ func Fig1b(policy node.EOFPolicy) (*Outcome, error) {
 // omission.
 func Fig1c(policy node.EOFPolicy) (*Outcome, error) {
 	cfg := baseConfig("Fig. 1c", policy)
-	cfg.Rules = []*errmodel.Rule{
-		errmodel.AtEOFBit(defaultX, lastEOF(policy)-1, 1),
-	}
-	cfg.CrashTxOnErrorFlag = true
+	cfg.Rules = at(defaultX, lastEOF(policy)-1).Rules()
+	cfg.CrashTx = true
 	return Run(cfg)
 }
 
@@ -99,10 +114,7 @@ func Fig2() (a, b, c *Outcome, err error) {
 func Fig3a() (*Outcome, error) {
 	policy := core.NewStandard()
 	cfg := baseConfig("Fig. 3a", policy)
-	cfg.Rules = []*errmodel.Rule{
-		errmodel.AtEOFBit(defaultX, lastEOF(policy)-1, 1),
-		errmodel.AtEOFBit([]int{0}, lastEOF(policy), 1),
-	}
+	cfg.Rules = fig3Pattern(policy).Rules()
 	return Run(cfg)
 }
 
@@ -113,10 +125,7 @@ func Fig3a() (*Outcome, error) {
 func Fig3b() (*Outcome, error) {
 	policy := core.NewMinorCAN()
 	cfg := baseConfig("Fig. 3b", policy)
-	cfg.Rules = []*errmodel.Rule{
-		errmodel.AtEOFBit(defaultX, lastEOF(policy)-1, 1),
-		errmodel.AtEOFBit([]int{0}, lastEOF(policy), 1),
-	}
+	cfg.Rules = fig3Pattern(policy).Rules()
 	return Run(cfg)
 }
 
@@ -135,13 +144,13 @@ func Fig5(m int) (*Outcome, error) {
 	}
 	cfg := baseConfig(fmt.Sprintf("Fig. 5 (MajorCAN_%d)", m), policy)
 	win := policy.WindowStart() // m+7
-	cfg.Rules = []*errmodel.Rule{
-		errmodel.AtEOFBit(defaultX, 3, 1),     // error seen by X at EOF bit 3
-		errmodel.AtEOFBit([]int{0}, 4, 1),     // transmitter misses the flag ...
-		errmodel.AtEOFBit([]int{0}, 5, 1),     // ... twice
-		errmodel.AtEOFBit(defaultX, win+1, 1), // sampling-window error at X
-		errmodel.AtEOFBit(defaultY, win+3, 1), // sampling-window error at Y
-	}
+	cfg.Rules = slices.Concat(
+		at(defaultX, 3),     // error seen by X at EOF bit 3
+		at(tx, 4),           // transmitter misses the flag ...
+		at(tx, 5),           // ... twice
+		at(defaultX, win+1), // sampling-window error at X
+		at(defaultY, win+3), // sampling-window error at Y
+	).Rules()
 	return Run(cfg)
 }
 
@@ -150,10 +159,7 @@ func Fig5(m int) (*Outcome, error) {
 // MajorCAN the same two disturbances must NOT produce an inconsistency.
 func NewScenario(policy node.EOFPolicy) (*Outcome, error) {
 	cfg := baseConfig("new scenario (Fig. 3 pattern)", policy)
-	cfg.Rules = []*errmodel.Rule{
-		errmodel.AtEOFBit(defaultX, lastEOF(policy)-1, 1),
-		errmodel.AtEOFBit([]int{0}, lastEOF(policy), 1),
-	}
+	cfg.Rules = fig3Pattern(policy).Rules()
 	return Run(cfg)
 }
 

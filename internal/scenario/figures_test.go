@@ -1,11 +1,11 @@
 package scenario
 
 import (
-	"repro/internal/errmodel"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/node"
+	"repro/internal/verify"
 )
 
 // Fig. 1a: the last-bit rule saves consistency — everyone accepts, no
@@ -18,7 +18,7 @@ func TestFig1aStandardCAN(t *testing.T) {
 	if !out.Quiet {
 		t.Fatal("scenario did not quiesce")
 	}
-	if !out.AllExactlyOnce {
+	if !out.ExactlyOnce() {
 		t.Errorf("want exactly-once everywhere, got deliveries %v", out.DeliveredCount)
 	}
 	if !out.TxSuccess {
@@ -41,7 +41,7 @@ func TestFig1bStandardCAN(t *testing.T) {
 	if !out.Retransmitted {
 		t.Error("the transmitter must retransmit in Fig. 1b")
 	}
-	if !out.DoubleReception {
+	if out.Fate != verify.Duplicate {
 		t.Errorf("want double reception at the Y set, got deliveries %v", out.DeliveredCount)
 	}
 	// X (stations 1,2) get the frame exactly once (from the retransmission);
@@ -56,7 +56,7 @@ func TestFig1bStandardCAN(t *testing.T) {
 			t.Errorf("station %d (Y) delivered %d, want 2", y, out.DeliveredCount[y])
 		}
 	}
-	if out.IMO {
+	if out.Fate == verify.Omission {
 		t.Error("Fig. 1b is not an omission scenario")
 	}
 }
@@ -74,7 +74,7 @@ func TestFig1cStandardCAN(t *testing.T) {
 	if !out.TxCrashed {
 		t.Fatal("the transmitter must have crashed")
 	}
-	if !out.IMO {
+	if out.Fate != verify.Omission {
 		t.Errorf("want an inconsistent message omission, got deliveries %v", out.DeliveredCount)
 	}
 	for _, x := range defaultX {
@@ -96,7 +96,7 @@ func TestFig2MinorCAN(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Run("1a", func(t *testing.T) {
-		if !a.AllExactlyOnce {
+		if !a.ExactlyOnce() {
 			t.Errorf("want exactly-once, got %v", a.DeliveredCount)
 		}
 		if a.Retransmitted {
@@ -104,18 +104,18 @@ func TestFig2MinorCAN(t *testing.T) {
 		}
 	})
 	t.Run("1b", func(t *testing.T) {
-		if !b.AllExactlyOnce {
+		if !b.ExactlyOnce() {
 			t.Errorf("want exactly-once (no double reception), got %v", b.DeliveredCount)
 		}
 		if !b.Retransmitted {
 			t.Error("the frame must be retransmitted (all nodes rejected)")
 		}
-		if b.DoubleReception {
+		if b.Fate == verify.Duplicate {
 			t.Error("MinorCAN must avoid the double reception of Fig. 1b")
 		}
 	})
 	t.Run("1c", func(t *testing.T) {
-		if c.IMO {
+		if c.Fate == verify.Omission {
 			t.Errorf("MinorCAN must avoid the IMO of Fig. 1c, got %v", c.DeliveredCount)
 		}
 		// With the transmitter crashed before retransmission nobody may
@@ -137,9 +137,7 @@ func TestFig2MinorCAN(t *testing.T) {
 func TestMinorCANAllLastBitUnnecessaryButConsistent(t *testing.T) {
 	policy := core.NewMinorCAN()
 	cfg := baseConfig("all nodes disturbed at the last EOF bit", policy)
-	cfg.Rules = []*errmodel.Rule{
-		errmodel.AtEOFBit([]int{0, 1, 2, 3, 4}, policy.EOFBits(), 1),
-	}
+	cfg.Rules = at([]int{0, 1, 2, 3, 4}, policy.EOFBits()).Rules()
 	out, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -147,10 +145,10 @@ func TestMinorCANAllLastBitUnnecessaryButConsistent(t *testing.T) {
 	if !out.Retransmitted {
 		t.Error("the frame must be (unnecessarily) retransmitted")
 	}
-	if !out.AllExactlyOnce {
+	if !out.ExactlyOnce() {
 		t.Errorf("the retransmission must end exactly-once everywhere, got %v", out.DeliveredCount)
 	}
-	if out.DoubleReception || out.IMO {
+	if out.Fate == verify.Duplicate || out.Fate == verify.Omission {
 		t.Error("the outcome must be consistent")
 	}
 }
@@ -174,7 +172,7 @@ func TestFig3aStandardCAN(t *testing.T) {
 	if out.Retransmitted {
 		t.Error("no retransmission may happen in Fig. 3a")
 	}
-	if !out.IMO {
+	if out.Fate != verify.Omission {
 		t.Errorf("want an inconsistent message omission, got deliveries %v", out.DeliveredCount)
 	}
 	for _, x := range defaultX {
@@ -199,7 +197,7 @@ func TestFig3bMinorCAN(t *testing.T) {
 	if !out.Quiet {
 		t.Fatal("scenario did not quiesce")
 	}
-	if !out.IMO {
+	if out.Fate != verify.Omission {
 		t.Errorf("want an inconsistent message omission, got deliveries %v", out.DeliveredCount)
 	}
 	if out.Retransmitted {
@@ -219,13 +217,13 @@ func TestNewScenarioMajorCAN(t *testing.T) {
 		if !out.Quiet {
 			t.Fatalf("m=%d: scenario did not quiesce", m)
 		}
-		if out.IMO {
+		if out.Fate == verify.Omission {
 			t.Errorf("m=%d: MajorCAN must avoid the IMO, got deliveries %v", m, out.DeliveredCount)
 		}
-		if out.DoubleReception {
+		if out.Fate == verify.Duplicate {
 			t.Errorf("m=%d: MajorCAN must avoid double reception, got %v", m, out.DeliveredCount)
 		}
-		if !out.AllExactlyOnce {
+		if !out.ExactlyOnce() {
 			t.Errorf("m=%d: want exactly-once everywhere, got %v", m, out.DeliveredCount)
 		}
 	}
@@ -242,7 +240,7 @@ func TestFig5MajorCAN5(t *testing.T) {
 	if !out.Quiet {
 		t.Fatal("scenario did not quiesce")
 	}
-	if !out.AllExactlyOnce {
+	if !out.ExactlyOnce() {
 		t.Errorf("want exactly-once everywhere, got deliveries %v", out.DeliveredCount)
 	}
 	if out.Retransmitted {
@@ -308,10 +306,10 @@ func TestFig1bMajorCAN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.AllExactlyOnce {
+	if !out.ExactlyOnce() {
 		t.Errorf("want exactly-once, got %v", out.DeliveredCount)
 	}
-	if out.DoubleReception {
+	if out.Fate == verify.Duplicate {
 		t.Error("MajorCAN must avoid double reception")
 	}
 }
@@ -323,7 +321,37 @@ func TestFig1cMajorCAN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.IMO {
+	if out.Fate == verify.Omission {
 		t.Errorf("MajorCAN must avoid the IMO, got deliveries %v", out.DeliveredCount)
 	}
+}
+
+// Fig. 3a is one point of the exhaustive verifier's enumeration: checking
+// standard CAN on the figure's five stations with up to three flips finds
+// the figure's own pattern and classifies it as an omission.
+func TestFig3aIsAVerifyPattern(t *testing.T) {
+	policy := core.NewStandard()
+	want := fig3Pattern(policy).String()
+	if want != "s0@7 s1@6 s2@6" {
+		t.Fatalf("Fig. 3a pattern = %q", want)
+	}
+	rep, err := verify.Exhaustive(verify.Config{
+		Policy:      policy,
+		Stations:    defaultNodes,
+		MaxFlips:    3,
+		Positions:   lastEOF(policy),
+		Parallelism: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range rep.Violations {
+		if v.Pattern.String() == want {
+			if v.Outcome != verify.Omission {
+				t.Errorf("%s classified %v, want %v", want, v.Outcome, verify.Omission)
+			}
+			return
+		}
+	}
+	t.Errorf("%d patterns checked, %s not among the %d violations", rep.Checked, want, len(rep.Violations))
 }

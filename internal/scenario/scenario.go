@@ -10,13 +10,13 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/bitstream"
 	"repro/internal/bus"
 	"repro/internal/errmodel"
 	"repro/internal/frame"
 	"repro/internal/node"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/verify"
 )
 
 // TestFrame returns the frame used by all figure scenarios.
@@ -36,11 +36,13 @@ type Config struct {
 	// X and Y are the receiver sets of the paper's figures (station
 	// indices).
 	X, Y []int
-	// Rules are the scripted disturbances.
+	// Rules are the scripted disturbances; the figures build them from
+	// verify.Pattern flips, the vocabulary the exhaustive verifier
+	// enumerates.
 	Rules []*errmodel.Rule
-	// CrashTxOnErrorFlag crashes the transmitter as soon as it starts
-	// signalling an error (the "failure before retransmission" of Fig. 1c).
-	CrashTxOnErrorFlag bool
+	// CrashTx crashes the transmitter at its first flag (the "failure
+	// before retransmission" of Fig. 1c).
+	CrashTx bool
 	// MaxSlots bounds the simulation (default 4000).
 	MaxSlots int
 }
@@ -60,22 +62,31 @@ type Outcome struct {
 	Retransmitted bool
 	// TxCrashed reports whether the transmitter was crashed by the script.
 	TxCrashed bool
-	// IMO (inconsistent message omission) reports that among the correct
-	// (non-crashed) receivers some delivered the message and some never
-	// did — the Agreement violation of the paper.
-	IMO bool
-	// DoubleReception reports that some receiver delivered the frame more
-	// than once (At-most-once violation).
-	DoubleReception bool
-	// AllExactlyOnce reports that every correct receiver delivered exactly
-	// one copy.
-	AllExactlyOnce bool
+	// Fate is the frame's fate as the exhaustive verifier classifies it:
+	// verify.Omission is the paper's inconsistent message omission
+	// (Agreement violated), verify.Duplicate a double reception
+	// (At-most-once violated).
+	Fate verify.Outcome
 	// Quiet reports that the bus reached quiescence within the slot budget.
 	Quiet bool
 	// Recorder holds the full bit-level history for rendering.
 	Recorder *trace.Recorder
 	// Cluster gives access to the simulated nodes.
 	Cluster *sim.Cluster
+}
+
+// ExactlyOnce reports a consistent outcome in which every receiver
+// delivered exactly one copy.
+func (o *Outcome) ExactlyOnce() bool {
+	if o.Fate != verify.Consistent {
+		return false
+	}
+	for _, n := range o.DeliveredCount[1:] {
+		if n != 1 {
+			return false
+		}
+	}
+	return true
 }
 
 // Run executes a scenario.
@@ -87,10 +98,6 @@ func Run(cfg Config) (*Outcome, error) {
 	if maxSlots == 0 {
 		maxSlots = 4000
 	}
-	cluster, err := sim.NewCluster(sim.ClusterOptions{Nodes: cfg.Nodes, Policy: cfg.Policy})
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", cfg.Name, err)
-	}
 	names := make([]string, cfg.Nodes)
 	names[0] = "T"
 	for _, x := range cfg.X {
@@ -100,31 +107,26 @@ func Run(cfg Config) (*Outcome, error) {
 		names[y] = fmt.Sprintf("Y%d", y)
 	}
 	rec := trace.NewRecorder(names...)
-	cluster.Net.AddProbe(rec)
-	cluster.Net.AddDisturber(errmodel.NewScript(cfg.Rules...))
-	if cfg.CrashTxOnErrorFlag {
-		cluster.Net.AddProbe(&crashOnErrorFlag{ctrl: cluster.Nodes[0]})
+	crash := -1
+	if cfg.CrashTx {
+		crash = 0
 	}
-
 	f := TestFrame()
-	if err := cluster.Nodes[0].Enqueue(f); err != nil {
+	cluster, quiet, deliveries, err := sim.RunFrame(cfg.Policy, cfg.Nodes, f, cfg.Rules, crash, []bus.Probe{rec}, maxSlots)
+	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", cfg.Name, err)
 	}
-	quiet := cluster.RunUntilQuiet(maxSlots)
-
 	out := &Outcome{
 		Name:           cfg.Name,
 		Policy:         cfg.Policy.Name(),
 		Frame:          f,
-		DeliveredCount: make([]int, cfg.Nodes),
+		DeliveredCount: deliveries,
 		TxSuccess:      cluster.Nodes[0].TxSuccesses() > 0,
 		TxCrashed:      cluster.Nodes[0].Crashed(),
+		Fate:           verify.Classify(cluster, deliveries, quiet),
 		Quiet:          quiet,
 		Recorder:       rec,
 		Cluster:        cluster,
-	}
-	for i := 0; i < cfg.Nodes; i++ {
-		out.DeliveredCount[i] = cluster.DeliveryCount(i, f)
 	}
 	// A retransmission happened if any station observed more than one SOF.
 	for _, r := range rec.Records() {
@@ -134,48 +136,7 @@ func Run(cfg Config) (*Outcome, error) {
 			}
 		}
 	}
-	some, none := false, false
-	allOnce := true
-	for i := 1; i < cfg.Nodes; i++ {
-		if cluster.Nodes[i].Crashed() {
-			continue
-		}
-		switch {
-		case out.DeliveredCount[i] == 0:
-			none = true
-			allOnce = false
-		case out.DeliveredCount[i] >= 1:
-			some = true
-			if out.DeliveredCount[i] > 1 {
-				out.DoubleReception = true
-				allOnce = false
-			}
-		}
-	}
-	out.IMO = some && none
-	out.AllExactlyOnce = allOnce
 	return out, nil
-}
-
-// crashOnErrorFlag crashes the controller the first time it is observed in
-// an error-flag phase: the transmitter fails right after scheduling the
-// retransmission and before performing it (Fig. 1c).
-type crashOnErrorFlag struct {
-	ctrl *node.Controller
-	done bool
-}
-
-var _ bus.Probe = (*crashOnErrorFlag)(nil)
-
-func (c *crashOnErrorFlag) OnBit(_ uint64, _ bitstream.Level, _, _ []bitstream.Level, views []bus.ViewContext) {
-	if c.done {
-		return
-	}
-	// Station 0 is always the transmitter in scenario configs.
-	if views[0].Phase == bus.PhaseErrorFlag {
-		c.ctrl.Crash()
-		c.done = true
-	}
 }
 
 // Summary renders a one-paragraph human-readable outcome.
@@ -194,11 +155,11 @@ func (o *Outcome) Summary() string {
 		b.WriteString(", retransmission occurred")
 	}
 	switch {
-	case o.IMO:
+	case o.Fate == verify.Omission:
 		b.WriteString(" => INCONSISTENT MESSAGE OMISSION (Agreement violated)")
-	case o.DoubleReception:
+	case o.Fate == verify.Duplicate:
 		b.WriteString(" => double reception (At-most-once violated)")
-	case o.AllExactlyOnce:
+	case o.ExactlyOnce():
 		b.WriteString(" => consistent, exactly-once everywhere")
 	default:
 		b.WriteString(" => consistent omission (nobody delivered)")

@@ -122,21 +122,9 @@ func (c *Client) Submit(ctx context.Context, spec *JobSpec, wait time.Duration) 
 
 // Job fetches a job's status by digest.
 func (c *Client) Job(ctx context.Context, id Digest) (*JobStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+string(id), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeAPIError(resp)
-	}
 	var st JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, fmt.Errorf("serve: decode job status: %w", err)
+	if err := c.GetJSON(ctx, "/v1/jobs/"+string(id), &st); err != nil {
+		return nil, err
 	}
 	return &st, nil
 }
@@ -183,33 +171,22 @@ func (c *Client) EventsFrom(ctx context.Context, id Digest, from uint64, fn func
 // primitive under EventsFrom and WatchLines; fleet endpoints reuse it
 // for their own event streams.
 func (c *Client) Lines(ctx context.Context, path string, from uint64, fn func(line []byte) error) error {
-	url := c.BaseURL + path
 	if from > 0 {
-		url += "?from=" + strconv.FormatUint(from, 10)
+		path += "?from=" + strconv.FormatUint(from, 10)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeAPIError(resp)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
+	return c.get(ctx, path, false, func(body io.Reader) error {
+		sc := bufio.NewScanner(body)
+		sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+		for sc.Scan() {
+			if len(bytes.TrimSpace(sc.Bytes())) == 0 {
+				continue
+			}
+			if err := fn(sc.Bytes()); err != nil {
+				return &callbackError{err: err}
+			}
 		}
-		if err := fn(sc.Bytes()); err != nil {
-			return &callbackError{err: err}
-		}
-	}
-	return sc.Err()
+		return sc.Err()
+	})
 }
 
 // callbackError marks an error as raised by the caller's line callback,
@@ -338,32 +315,10 @@ func (c *Client) SubmitRetry(ctx context.Context, spec *JobSpec, wait time.Durat
 	return nil, lastErr
 }
 
-// Stats fetches the scheduler statistics.
-func (c *Client) Stats(ctx context.Context) (*Stats, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/stats", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeAPIError(resp)
-	}
-	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, fmt.Errorf("serve: decode stats: %w", err)
-	}
-	return &st, nil
-}
-
-// GetJSON fetches an arbitrary service path and decodes the JSON reply
-// into v — the escape hatch for endpoints outside the core job API
-// (e.g. a coordinator's /v1/fleet), keeping the transport, error
-// envelope and timeout behaviour of the typed helpers.
-func (c *Client) GetJSON(ctx context.Context, path string, v any) error {
+// get issues a GET for a service-root-relative path and hands the reply
+// body to read. A status other than 200 becomes an *APIError unless
+// anyStatus is set (a draining /v1/healthz answers 503 with a report).
+func (c *Client) get(ctx context.Context, path string, anyStatus bool, read func(body io.Reader) error) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
 	if err != nil {
 		return err
@@ -373,10 +328,47 @@ func (c *Client) GetJSON(ctx context.Context, path string, v any) error {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	if !anyStatus && resp.StatusCode != http.StatusOK {
 		return decodeAPIError(resp)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+	return read(resp.Body)
+}
+
+// getBytes GETs path and returns the whole reply body.
+func (c *Client) getBytes(ctx context.Context, path string) ([]byte, error) {
+	var data []byte
+	err := c.get(ctx, path, false, func(body io.Reader) error {
+		var err error
+		if data, err = io.ReadAll(body); err != nil {
+			return fmt.Errorf("serve: read %s: %w", path, err)
+		}
+		return nil
+	})
+	return data, err
+}
+
+// Stats fetches the scheduler statistics.
+func (c *Client) Stats(ctx context.Context) (*Stats, error) {
+	var st Stats
+	if err := c.GetJSON(ctx, "/v1/stats", &st); err != nil {
+		return nil, err
+	}
+	return &st, nil
+}
+
+// GetJSON fetches an arbitrary service path and decodes the JSON reply
+// into v — the escape hatch for endpoints outside the core job API
+// (e.g. a coordinator's /v1/fleet), keeping the transport, error
+// envelope and timeout behaviour of the typed helpers.
+func (c *Client) GetJSON(ctx context.Context, path string, v any) error {
+	return c.get(ctx, path, false, func(body io.Reader) error {
+		return decodeJSON(body, path, v)
+	})
+}
+
+// decodeJSON decodes one JSON reply body from path into v.
+func decodeJSON(body io.Reader, path string, v any) error {
+	if err := json.NewDecoder(body).Decode(v); err != nil {
 		return fmt.Errorf("serve: decode %s: %w", path, err)
 	}
 	return nil
@@ -385,44 +377,12 @@ func (c *Client) GetJSON(ctx context.Context, path string, v any) error {
 // Trace downloads a finished job's Perfetto trace (Chrome trace-event
 // JSON). The server answers 409 until the job is terminal.
 func (c *Client) Trace(ctx context.Context, id Digest) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+string(id)+"/trace", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeAPIError(resp)
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("serve: read trace: %w", err)
-	}
-	return data, nil
+	return c.getBytes(ctx, "/v1/jobs/"+string(id)+"/trace")
 }
 
 // MetricsText fetches the Prometheus text-format exposition.
 func (c *Client) MetricsText(ctx context.Context) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeAPIError(resp)
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("serve: read metrics: %w", err)
-	}
-	return data, nil
+	return c.getBytes(ctx, "/metrics")
 }
 
 // Healthz reports the service health status string ("ok", "degraded"
@@ -437,19 +397,14 @@ func (c *Client) Healthz(ctx context.Context) (string, error) {
 
 // Health fetches the full health report: status, per-store durability
 // state and build identity — what a fleet registry heartbeat consumes.
+// A draining service answers 503 with the same report.
 func (c *Client) Health(ctx context.Context) (*HealthResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/healthz", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
 	var h HealthResponse
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return nil, fmt.Errorf("serve: decode healthz: %w", err)
+	err := c.get(ctx, "/v1/healthz", true, func(body io.Reader) error {
+		return decodeJSON(body, "/v1/healthz", &h)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &h, nil
 }

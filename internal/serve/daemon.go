@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // DaemonMain is the body of the mcservd command: flag parsing, scheduler
@@ -40,7 +39,6 @@ func DaemonMain(args []string) int {
 		ckptDir      = fs.String("checkpoints", "auto", "job checkpoint directory (auto = <spool>/checkpoints, none = disabled)")
 		ckptEvery    = fs.Int("checkpoint-every", 8, "checkpoint cadence in work units (sweep points, campaign trials)")
 		captureEv    = fs.Int("capture-events", 0, "per-job trace capture buffer in events (0 = default)")
-		engine       = fs.String("engine", string(sim.EngineFast), "bit-slot engine: fast or reference (identical traces)")
 		mutexProf    = fs.String("mutexprofile", "", "write a mutex-contention profile here on clean exit")
 		blockProf    = fs.String("blockprofile", "", "write a blocking-event profile here on clean exit")
 	)
@@ -48,14 +46,6 @@ func DaemonMain(args []string) int {
 		return 2
 	}
 	logger := d.Logger
-
-	// The engine is an execution knob like parallelism: it changes how
-	// fast jobs run, never their content-addressed results, so it is a
-	// daemon flag and stays out of the job specs.
-	if err := sim.SetDefaultEngine(sim.EngineChoice(*engine)); err != nil {
-		fmt.Fprintln(os.Stderr, "mcservd:", err)
-		return 2
-	}
 
 	// Contention profiling is opt-in and sampled at full rate; the
 	// profiles are written when the daemon exits cleanly, so a drain (not

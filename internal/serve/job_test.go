@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -42,6 +43,32 @@ func TestDecodeSpecRejectsUnknownFields(t *testing.T) {
 	}
 	if _, err := DecodeSpec([]byte(`{"sweep":{"protocol":"can"}} trailing`)); err == nil {
 		t.Fatal("trailing data accepted")
+	}
+}
+
+// Specs whose allocations alone would exhaust memory must be refused as
+// errors, never executed: a service journals a job before it runs it, so
+// a spec that kills the process would kill it again on every restart.
+func TestHostileSpecsFail(t *testing.T) {
+	for _, src := range []string{
+		`{"sweep":{"protocol":"can","nodes":5,"frames":2000000000}}`,
+		`{"sweep":{"protocol":"can","nodes":2000000000}}`,
+		`{"sweep":{"protocol":"can","seeds":2000000000}}`,
+		`{"verify":{"protocol":"can","maxFlips":2000000000}}`,
+		`{"verify":{"protocol":"can","maxFlips":37}}`,
+		`{"verify":{"protocol":"can","stations":2000000000}}`,
+		`{"verify":{"protocol":"can","positions":2000000000}}`,
+		`{"verify":{"protocol":"majorcan_1000000000"}}`,
+		`{"verify":{"protocol":"can","positions":-1}}`,
+		`{"verify":{"protocol":"can","slotsBudget":-1}}`,
+	} {
+		spec, err := DecodeSpec([]byte(src))
+		if err == nil {
+			_, err = Execute(context.Background(), spec, ExecOptions{Parallelism: 1})
+		}
+		if err == nil {
+			t.Errorf("%s: accepted and executed", src)
+		}
 	}
 }
 

@@ -22,8 +22,8 @@ import (
 type EngineChoice string
 
 const (
-	// EngineAuto defers to the process-wide default (fast, unless a CLI
-	// -engine=reference flag rerouted it via SetDefaultEngine).
+	// EngineAuto defers to the process-wide default (fast, unless
+	// SetDefaultEngine rerouted it to the reference loop).
 	EngineAuto EngineChoice = ""
 	// EngineFast installs the packed fast bit-slot engine.
 	EngineFast EngineChoice = "fast"
@@ -32,12 +32,11 @@ const (
 )
 
 // referenceDefault flips the process-wide EngineAuto resolution from
-// fast to reference (the CLIs' escape hatch).
+// fast to reference (the differential oracle's switch).
 var referenceDefault atomic.Bool
 
 // SetDefaultEngine sets how EngineAuto resolves process-wide. EngineAuto
-// restores the built-in default (fast). It rejects unknown names so CLI
-// flag values can be passed through directly.
+// restores the built-in default (fast). It rejects unknown names.
 func SetDefaultEngine(c EngineChoice) error {
 	switch c {
 	case EngineAuto, EngineFast:

@@ -147,6 +147,10 @@ func PayloadKey(f *frame.Frame) (abcheck.MsgKey, bool) {
 	}, true
 }
 
+// maxTraceReserve caps the frames' worth of abcheck trace MonteCarlo
+// reserves before the run.
+const maxTraceReserve = 1 << 16
+
 // MonteCarlo runs the experiment.
 func MonteCarlo(cfg MCConfig) (*MCResult, error) {
 	if cfg.Nodes < 3 {
@@ -231,9 +235,12 @@ func MonteCarlo(cfg MCConfig) (*MCResult, error) {
 	tr := abcheck.Trace{Nodes: cfg.Nodes, Faulty: make(map[int]bool)}
 	// The trace grows to one broadcast per frame and (at most) one
 	// delivery per receiver per frame; reserving that up front keeps the
-	// append loops below from regrowing through the whole run.
-	tr.Broadcasts = make([]abcheck.Broadcast, 0, cfg.Frames)
-	tr.Deliveries = make([]abcheck.Delivery, 0, cfg.Frames*(cfg.Nodes-1))
+	// append loops below from regrowing through the whole run. The
+	// reservation is capped so a long run allocates as it goes instead of
+	// all at once.
+	reserve := min(cfg.Frames, maxTraceReserve)
+	tr.Broadcasts = make([]abcheck.Broadcast, 0, reserve)
+	tr.Deliveries = make([]abcheck.Delivery, 0, reserve*(cfg.Nodes-1))
 
 	// Per-frame scratch, reused across the trial loop.
 	before := make([]int, cfg.Nodes)

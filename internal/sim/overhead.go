@@ -32,22 +32,17 @@ func (c OverheadCase) String() string {
 // the bus busy under the given policy: from the SOF until the transmitter
 // enters intermission (delimiters included, intermission excluded).
 func FrameOccupancy(policy node.EOFPolicy, c OverheadCase) (int, error) {
-	cluster, err := NewCluster(ClusterOptions{Nodes: 4, Policy: policy})
+	var rules []*errmodel.Rule
+	if c == WorstCase {
+		rules = []*errmodel.Rule{errmodel.AtEOFBit([]int{1}, policy.EOFBits(), 1)}
+	}
+	rec := trace.NewRecorder()
+	f := &frame.Frame{ID: 0x2AA, Data: []byte{0x55, 0xAA, 0x55, 0xAA, 0x55, 0xAA, 0x55, 0xAA}}
+	cluster, quiet, _, err := RunFrame(policy, 4, f, rules, -1, []bus.Probe{rec}, 4000)
 	if err != nil {
 		return 0, err
 	}
-	rec := trace.NewRecorder()
-	cluster.Net.AddProbe(rec)
-	if c == WorstCase {
-		cluster.Net.AddDisturber(errmodel.NewScript(
-			errmodel.AtEOFBit([]int{1}, policy.EOFBits(), 1),
-		))
-	}
-	f := &frame.Frame{ID: 0x2AA, Data: []byte{0x55, 0xAA, 0x55, 0xAA, 0x55, 0xAA, 0x55, 0xAA}}
-	if err := cluster.Nodes[0].Enqueue(f); err != nil {
-		return 0, err
-	}
-	if !cluster.RunUntilQuiet(4000) {
+	if !quiet {
 		return 0, fmt.Errorf("sim: overhead measurement did not quiesce under %s", policy.Name())
 	}
 	sof, ok := rec.FirstSlot(0, bus.PhaseFrame)

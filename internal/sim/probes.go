@@ -6,28 +6,29 @@ import (
 	"repro/internal/node"
 )
 
-// CrashOnPhase is a bus.Probe that crashes a controller the first time the
-// given station is observed in the given protocol phase. It injects the
-// "fails before retransmission" faults of the paper's Fig. 1c.
-type CrashOnPhase struct {
+// CrashAtFirstFlag is a bus.Probe that crashes a controller the first
+// time its station is observed signalling an error flag, an overload flag
+// or a MajorCAN extension. It injects the fail-silent faults of the
+// paper's model, such as the transmitter of Fig. 1c failing after it
+// scheduled the retransmission and before performing it.
+type CrashAtFirstFlag struct {
 	// Ctrl is the controller to crash.
 	Ctrl *node.Controller
 	// Station is the station index whose view is watched.
 	Station int
-	// Phase triggers the crash.
-	Phase bus.Phase
 
 	done bool
 }
 
-var _ bus.Probe = (*CrashOnPhase)(nil)
+var _ bus.Probe = (*CrashAtFirstFlag)(nil)
 
 // OnBit implements bus.Probe.
-func (c *CrashOnPhase) OnBit(_ uint64, _ bitstream.Level, _, _ []bitstream.Level, views []bus.ViewContext) {
+func (c *CrashAtFirstFlag) OnBit(_ uint64, _ bitstream.Level, _, _ []bitstream.Level, views []bus.ViewContext) {
 	if c.done || c.Station >= len(views) {
 		return
 	}
-	if views[c.Station].Phase == c.Phase {
+	switch views[c.Station].Phase {
+	case bus.PhaseErrorFlag, bus.PhaseOverloadFlag, bus.PhaseExtFlag:
 		c.Ctrl.Crash()
 		c.done = true
 	}

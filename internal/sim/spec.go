@@ -46,6 +46,17 @@ type SweepSpec struct {
 	SlotsPerFrame int `json:"slotsPerFrame,omitempty"`
 }
 
+// Bounds on a sweep spec. They admit every sweep the repository runs (the
+// 32-station reference bus, seed sweeps in the hundreds, tens of
+// thousands of frames per seed) and refuse specs whose allocations alone
+// would exhaust memory: a spec reaches Validate from the network, and a
+// service journals a job before it runs it.
+const (
+	maxSweepNodes  = 64
+	maxSweepFrames = 1_000_000
+	maxSweepSeeds  = 100_000
+)
+
 // Normalize fills defaulted fields in place, so that specs differing only
 // in spelled-out defaults canonicalise to the same bytes.
 func (s *SweepSpec) Normalize() {
@@ -65,14 +76,14 @@ func (s SweepSpec) Validate() error {
 	if _, err := core.ParsePolicy(s.Protocol); err != nil {
 		return fmt.Errorf("sim: sweep spec: %w", err)
 	}
-	if s.Nodes < 2 {
-		return fmt.Errorf("sim: sweep spec needs >= 2 nodes, got %d", s.Nodes)
+	if s.Nodes < 2 || s.Nodes > maxSweepNodes {
+		return fmt.Errorf("sim: sweep spec nodes %d outside [2,%d]", s.Nodes, maxSweepNodes)
 	}
-	if s.Frames < 1 {
-		return fmt.Errorf("sim: sweep spec needs >= 1 frame, got %d", s.Frames)
+	if s.Frames < 1 || s.Frames > maxSweepFrames {
+		return fmt.Errorf("sim: sweep spec frames %d outside [1,%d]", s.Frames, maxSweepFrames)
 	}
-	if s.Seeds < 1 {
-		return fmt.Errorf("sim: sweep spec needs >= 1 seed, got %d", s.Seeds)
+	if s.Seeds < 1 || s.Seeds > maxSweepSeeds {
+		return fmt.Errorf("sim: sweep spec seeds %d outside [1,%d]", s.Seeds, maxSweepSeeds)
 	}
 	if s.BerStar < 0 || s.BerStar > 1 {
 		return fmt.Errorf("sim: sweep spec berStar %g outside [0,1]", s.BerStar)

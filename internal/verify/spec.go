@@ -33,6 +33,16 @@ type Spec struct {
 	PatternCount int `json:"patternCount,omitempty"`
 }
 
+// Bounds on a verification spec. They admit every verification the
+// repository runs (the MajorCAN_5 envelope is 4 stations x 20 positions)
+// and refuse specs whose allocations alone would exhaust memory: a spec
+// reaches Validate from the network, and a service journals a job before
+// it runs it. A pattern cannot hold more flips than there are fault sites.
+const (
+	maxSpecStations  = 64
+	maxSpecPositions = 256
+)
+
 // Normalize fills defaulted fields in place.
 func (s *Spec) Normalize() {
 	if s.Stations == 0 {
@@ -45,14 +55,29 @@ func (s *Spec) Normalize() {
 
 // Validate checks the spec's structural invariants.
 func (s Spec) Validate() error {
-	if _, err := core.ParsePolicy(s.Protocol); err != nil {
+	policy, err := core.ParsePolicy(s.Protocol)
+	if err != nil {
 		return fmt.Errorf("verify: spec: %w", err)
 	}
-	if s.Stations != 0 && s.Stations < 3 {
-		return fmt.Errorf("verify: spec needs >= 3 stations, got %d", s.Stations)
+	if s.Stations != 0 && (s.Stations < 3 || s.Stations > maxSpecStations) {
+		return fmt.Errorf("verify: spec stations %d outside [3,%d]", s.Stations, maxSpecStations)
 	}
-	if s.MaxFlips < 0 {
-		return fmt.Errorf("verify: spec maxFlips %d negative", s.MaxFlips)
+	if s.Positions < 0 {
+		return fmt.Errorf("verify: spec positions %d negative", s.Positions)
+	}
+	if s.SlotsBudget < 0 {
+		return fmt.Errorf("verify: spec slotsBudget %d negative", s.SlotsBudget)
+	}
+	cfg := Config{Policy: policy, Stations: s.Stations, Positions: s.Positions}
+	if cfg.Stations == 0 {
+		cfg.Stations = 4
+	}
+	positions := cfg.positions()
+	if positions < 1 || positions > maxSpecPositions {
+		return fmt.Errorf("verify: spec positions %d outside [1,%d]", positions, maxSpecPositions)
+	}
+	if sites := cfg.Stations * positions; s.MaxFlips < 0 || s.MaxFlips > sites {
+		return fmt.Errorf("verify: spec maxFlips %d outside [0,%d] (stations x positions)", s.MaxFlips, sites)
 	}
 	if s.PatternStart < 0 {
 		return fmt.Errorf("verify: spec patternStart %d negative", s.PatternStart)

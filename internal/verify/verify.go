@@ -16,8 +16,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/bitstream"
-	"repro/internal/bus"
 	"repro/internal/errmodel"
 	"repro/internal/frame"
 	"repro/internal/node"
@@ -35,6 +33,16 @@ func (f Flip) String() string { return fmt.Sprintf("s%d@%d", f.Station, f.Pos) }
 
 // Pattern is a set of flips applied to one frame transmission.
 type Pattern []Flip
+
+// Rules scripts the pattern: one single-shot view flip per Flip, on the
+// first transmission attempt.
+func (p Pattern) Rules() []*errmodel.Rule {
+	rules := make([]*errmodel.Rule, len(p))
+	for i, f := range p {
+		rules[i] = errmodel.AtEOFBit([]int{f.Station}, f.Pos, 1)
+	}
+	return rules
+}
 
 func (p Pattern) String() string {
 	parts := make([]string, len(p))
@@ -362,29 +370,12 @@ func ExhaustiveContext(ctx context.Context, cfg Config) (*Report, error) {
 // runPattern simulates one disturbance pattern, optionally crashing one
 // station at its first end-of-frame signalling, and classifies the run.
 func runPattern(cfg Config, p Pattern, crash int) (Violation, bool, error) {
-	cluster, err := sim.NewCluster(sim.ClusterOptions{Nodes: cfg.Stations, Policy: cfg.Policy})
+	f := &frame.Frame{ID: 0x123, Data: []byte{0xCA, 0xFE}}
+	cluster, quiet, deliveries, err := sim.RunFrame(cfg.Policy, cfg.Stations, f, p.Rules(), crash, nil, cfg.SlotsBudget)
 	if err != nil {
 		return Violation{}, false, err
 	}
-	rules := make([]*errmodel.Rule, len(p))
-	for i, f := range p {
-		rules[i] = errmodel.AtEOFBit([]int{f.Station}, f.Pos, 1)
-	}
-	cluster.Net.AddDisturber(errmodel.NewScript(rules...))
-	if crash >= 0 {
-		cluster.Net.AddProbe(&crashOnSignal{cluster: cluster, station: crash})
-	}
-	f := &frame.Frame{ID: 0x123, Data: []byte{0xCA, 0xFE}}
-	if err := cluster.Nodes[0].Enqueue(f); err != nil {
-		return Violation{}, false, err
-	}
-	quiet := cluster.RunUntilQuiet(cfg.SlotsBudget)
-
-	deliveries := make([]int, cfg.Stations)
-	for i := range deliveries {
-		deliveries[i] = cluster.DeliveryCount(i, f)
-	}
-	outcome := classify(cluster, deliveries, quiet)
+	outcome := Classify(cluster, deliveries, quiet)
 	if outcome == Consistent {
 		return Violation{}, false, nil
 	}
@@ -396,26 +387,12 @@ func runPattern(cfg Config, p Pattern, crash int) (Violation, bool, error) {
 	}, true, nil
 }
 
-// crashOnSignal crashes the station the first time it is observed sending
-// an error flag, overload flag or MajorCAN extension.
-type crashOnSignal struct {
-	cluster *sim.Cluster
-	station int
-	done    bool
-}
-
-func (c *crashOnSignal) OnBit(_ uint64, _ bitstream.Level, _, _ []bitstream.Level, views []bus.ViewContext) {
-	if c.done {
-		return
-	}
-	switch views[c.station].Phase {
-	case bus.PhaseErrorFlag, bus.PhaseOverloadFlag, bus.PhaseExtFlag:
-		c.cluster.Nodes[c.station].Crash()
-		c.done = true
-	}
-}
-
-func classify(cluster *sim.Cluster, deliveries []int, quiet bool) Outcome {
+// Classify judges the fate of one frame broadcast by station 0, given how
+// many copies each station delivered and whether the bus went quiet.
+// Consistency is judged among the correct (error-active or error-passive)
+// stations; this is the one classifier behind verify's violations and the
+// figure scenarios' verdicts.
+func Classify(cluster *sim.Cluster, deliveries []int, quiet bool) Outcome {
 	if !quiet {
 		return Stuck
 	}

@@ -49,8 +49,8 @@ func wrapOutcome(out *scenario.Outcome) ScenarioResult {
 	res := ScenarioResult{
 		Name:            out.Name,
 		Summary:         out.Summary(),
-		Inconsistent:    out.IMO,
-		DoubleReception: out.DoubleReception,
+		Inconsistent:    out.Fate == verify.Omission,
+		DoubleReception: out.Fate == verify.Duplicate,
 	}
 	if first, last, ok := out.Recorder.EOFWindow(0, 1); ok {
 		from := uint64(0)
