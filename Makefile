@@ -69,7 +69,8 @@ chaos:
 	$(GO) run ./cmd/chaos -replay findings/finding_000.json
 
 # Exhaustive verification of MajorCAN_5 over its complete design envelope
-# (all <=5-flip patterns; ~25.7M simulations, ~27 min single-threaded).
+# (all <=5-flip patterns; ~25.7M simulations, each restored from one
+# pre-EOF snapshot per worker; ~10 min on 2 vCPUs, EXPERIMENTS.md).
 verify-envelope:
 	$(GO) run ./cmd/verify -policy majorcan_5 -k 5 -parallel 8
 

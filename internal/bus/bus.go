@@ -308,6 +308,42 @@ func (n *Network) SkipSlots(k int, last bitstream.Level) {
 // Slot returns the index of the next bit slot to be simulated.
 func (n *Network) Slot() uint64 { return n.slot }
 
+// State is the part of a Network a snapshot restores: the slot clock and
+// the edge-detection latch. Stations restore their own state.
+type State struct {
+	slot      uint64
+	prevLevel bitstream.Level
+}
+
+// Slot returns the index of the next bit slot at the snapshot.
+func (s State) Slot() uint64 { return s.slot }
+
+// Snapshot captures the network's clock.
+func (n *Network) Snapshot() State {
+	return State{slot: n.slot, prevLevel: n.prevLevel}
+}
+
+// Restore returns the network's clock to s and unregisters every
+// disturber, output fault, skew and probe: a model's own state cannot be
+// rewound, so each run after a restore registers fresh ones. Restore
+// counts as a configuration change (Version), so an installed engine
+// re-plans before the next slot.
+func (n *Network) Restore(s State) {
+	n.slot, n.prevLevel = s.slot, s.prevLevel
+	n.disturbers = unregister(n.disturbers)
+	n.outputFaults = unregister(n.outputFaults)
+	n.skews = unregister(n.skews)
+	n.probes = unregister(n.probes)
+	n.version++
+}
+
+// unregister empties a registration list, keeping its storage but no
+// reference to the models.
+func unregister[T any](list []T) []T {
+	clear(list)
+	return list[:0]
+}
+
 // Step simulates one bit slot and returns the (undisturbed) bus level.
 func (n *Network) Step() bitstream.Level {
 	for i, s := range n.stations {

@@ -107,13 +107,22 @@ type Script struct {
 // ScriptVersion is the current artifact format version.
 const ScriptVersion = 1
 
+// Bounds on a script, following sim.SweepSpec's: a cluster allocates per
+// node, and the recorder and the Atomic Broadcast checker keep per-frame
+// state, so a script's size is refused before a cluster is built. The
+// scripts and campaigns the repository runs stay far below both.
+const (
+	maxScriptNodes  = 64
+	maxScriptFrames = 100_000
+)
+
 // Validate checks the script's structural invariants.
 func (s Script) Validate() error {
-	if s.Nodes < 3 {
-		return fmt.Errorf("chaos: script needs >= 3 nodes, got %d", s.Nodes)
+	if s.Nodes < 3 || s.Nodes > maxScriptNodes {
+		return fmt.Errorf("chaos: script nodes %d outside [3,%d]", s.Nodes, maxScriptNodes)
 	}
-	if s.Frames <= 0 {
-		return fmt.Errorf("chaos: script needs >= 1 frame")
+	if s.Frames <= 0 || s.Frames > maxScriptFrames {
+		return fmt.Errorf("chaos: script frames %d outside [1,%d]", s.Frames, maxScriptFrames)
 	}
 	if _, err := ParseProtocol(s.Protocol); err != nil {
 		return err

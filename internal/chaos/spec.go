@@ -55,6 +55,18 @@ type CampaignSpec struct {
 	SlotsPerFrame int `json:"slotsPerFrame,omitempty"`
 }
 
+// Bounds on a campaign spec. They admit every campaign the repository
+// runs (the Makefile and README searches, the 4,000-trial EXPERIMENTS
+// recipes, the benchmark's small campaigns) and refuse specs whose work
+// or allocations alone would exhaust the process: a spec reaches
+// Validate from the network, and a service journals a job before it runs
+// it. Trial indices of a sharded campaign stay below maxCampaignTrials
+// too, so the fleet's offset ranges never overflow.
+const (
+	maxCampaignTrials = 1_000_000
+	maxCampaignFaults = 64
+)
+
 // Normalize fills defaulted fields and canonicalises list order in place.
 func (c *CampaignSpec) Normalize() {
 	if c.Nodes == 0 {
@@ -117,11 +129,14 @@ func (c CampaignSpec) Campaign() (Campaign, error) {
 			return Campaign{}, fmt.Errorf("chaos: unknown fault kind %q (known: %v)", k, Kinds())
 		}
 	}
-	if c.Trials < 0 || c.MaxFaults < 0 {
-		return Campaign{}, fmt.Errorf("chaos: negative trials or maxFaults")
+	if c.Trials < 0 || c.Trials > maxCampaignTrials {
+		return Campaign{}, fmt.Errorf("chaos: campaign trials %d outside [0,%d]", c.Trials, maxCampaignTrials)
 	}
-	if c.TrialOffset < 0 {
-		return Campaign{}, fmt.Errorf("chaos: negative trialOffset")
+	if c.TrialOffset < 0 || c.TrialOffset > maxCampaignTrials-c.Trials {
+		return Campaign{}, fmt.Errorf("chaos: campaign trialOffset %d outside [0,%d] for %d trials", c.TrialOffset, maxCampaignTrials-c.Trials, c.Trials)
+	}
+	if c.MaxFaults < 0 || c.MaxFaults > maxCampaignFaults {
+		return Campaign{}, fmt.Errorf("chaos: campaign maxFaults %d outside [0,%d]", c.MaxFaults, maxCampaignFaults)
 	}
 	camp := Campaign{
 		Name: "spec",

@@ -178,7 +178,7 @@ type Rule struct {
 	// unlimited).
 	Count int
 
-	fired map[int]int
+	fired []int // firings so far, indexed by station
 }
 
 func (r *Rule) matches(slot uint64, station int, view bus.ViewContext) bool {
@@ -198,8 +198,8 @@ func (r *Rule) matches(slot uint64, station int, view bus.ViewContext) bool {
 		return false
 	}
 	if r.Count > 0 {
-		if r.fired == nil {
-			r.fired = make(map[int]int)
+		if station >= len(r.fired) {
+			r.fired = append(r.fired, make([]int, station+1-len(r.fired))...)
 		}
 		if r.fired[station] >= r.Count {
 			return false

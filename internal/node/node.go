@@ -108,10 +108,23 @@ const (
 // Controller is a simulated CAN controller attached to a bus.Network. It
 // implements bus.Station. The zero value is not usable; use New.
 type Controller struct {
-	name   string
-	policy EOFPolicy
-	opts   Options
+	name     string
+	policy   EOFPolicy
+	opts     Options
+	encCache map[encKey]*frame.Encoding
 
+	// telemetry (nil when uninstrumented)
+	ev      obs.Sink
+	station int16
+
+	machine
+}
+
+// machine is every field a latch can change: the controller's protocol
+// state, as a value. Snapshot and Restore copy it whole, so a field added
+// here is captured without further code; configuration, hooks, the encode
+// memo and the telemetry sink stay outside it.
+type machine struct {
 	state ctrlState
 	now   uint64 // bit slots latched so far (== network slot when attached at 0)
 
@@ -120,7 +133,6 @@ type Controller struct {
 	transmitter bool
 	txEnc       *frame.Encoding
 	txPos       int
-	encCache    map[encKey]*frame.Encoding
 
 	// receive pipeline
 	destuff bitstream.Destuffer
@@ -155,16 +167,12 @@ type Controller struct {
 	crashed   bool
 	delivered uint64
 	txOK      uint64
-	errCount  map[ErrorKind]uint64
+	errCount  [ErrOverload + 1]uint64 // indexed by ErrorKind
 
 	// bus-off recovery (AutoRecover): 128 occurrences of 11 consecutive
 	// recessive bits re-enable the node.
 	recovRun int
 	recovSeq int
-
-	// telemetry (nil when uninstrumented)
-	ev      obs.Sink
-	station int16
 }
 
 var _ bus.Station = (*Controller)(nil)
@@ -178,10 +186,8 @@ func New(name string, policy EOFPolicy, opts Options) *Controller {
 		name:     name,
 		policy:   policy,
 		opts:     opts,
-		state:    stIdle,
-		mode:     ErrorActive,
-		errCount: make(map[ErrorKind]uint64),
 		encCache: make(map[encKey]*frame.Encoding),
+		machine:  machine{state: stIdle, mode: ErrorActive},
 	}
 }
 
@@ -276,7 +282,40 @@ func (c *Controller) Delivered() uint64 { return c.delivered }
 func (c *Controller) TxSuccesses() uint64 { return c.txOK }
 
 // ErrorCount returns how many errors of the given kind the node detected.
-func (c *Controller) ErrorCount(kind ErrorKind) uint64 { return c.errCount[kind] }
+func (c *Controller) ErrorCount(kind ErrorKind) uint64 {
+	if int(kind) >= len(c.errCount) {
+		return 0
+	}
+	return c.errCount[kind]
+}
+
+// State is a controller's protocol state captured by Snapshot.
+type State struct{ m machine }
+
+// Snapshot captures the controller's protocol state: queue, counters,
+// clock, receive pipeline and signalling position. It must be taken
+// outside an end-of-frame episode, whose state machine belongs to the
+// policy and is not copied; a snapshot inside one is a programming error
+// and panics.
+func (c *Controller) Snapshot() State {
+	if c.episode != nil {
+		panic(fmt.Sprintf("node %s: snapshot inside an end-of-frame episode", c.name))
+	}
+	s := State{m: c.machine}
+	s.m.queue.frames = append([]*frame.Frame(nil), c.queue.frames...)
+	return s
+}
+
+// Restore returns the controller to a state Snapshot captured from it.
+// No hook or event fires; the transmit queue reuses its own storage, so a
+// restore does not allocate once the queue has held the snapshot's frames.
+// Queued frames are shared with the snapshot, which is safe because the
+// controller never mutates a queued frame.
+func (c *Controller) Restore(s State) {
+	frames := c.queue.frames[:0]
+	c.machine = s.m
+	c.queue.frames = append(frames, s.m.queue.frames...)
+}
 
 // Idle reports whether the controller considers the bus idle and has
 // nothing queued (useful as a quiescence condition for test drivers).

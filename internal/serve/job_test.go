@@ -61,6 +61,16 @@ func TestHostileSpecsFail(t *testing.T) {
 		`{"verify":{"protocol":"majorcan_1000000000"}}`,
 		`{"verify":{"protocol":"can","positions":-1}}`,
 		`{"verify":{"protocol":"can","slotsBudget":-1}}`,
+		// C(80, <=30) is of the order of 1e22: it must be refused, not
+		// wrapped into a smaller space that windows then index.
+		`{"verify":{"protocol":"majorcan_5","stations":4,"maxFlips":30}}`,
+		`{"campaign":{"protocol":"can","nodes":2000000000}}`,
+		`{"campaign":{"protocol":"can","frames":2000000000}}`,
+		`{"campaign":{"protocol":"can","trials":2000000000}}`,
+		`{"campaign":{"protocol":"can","trials":10,"trialOffset":9223372036854775800}}`,
+		`{"campaign":{"protocol":"can","maxFaults":2000000000}}`,
+		`{"script":{"protocol":"can","nodes":2000000000,"frames":1}}`,
+		`{"script":{"protocol":"can","nodes":5,"frames":2000000000}}`,
 	} {
 		spec, err := DecodeSpec([]byte(src))
 		if err == nil {

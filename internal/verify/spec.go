@@ -37,7 +37,8 @@ type Spec struct {
 // repository runs (the MajorCAN_5 envelope is 4 stations x 20 positions)
 // and refuse specs whose allocations alone would exhaust memory: a spec
 // reaches Validate from the network, and a service journals a job before
-// it runs it. A pattern cannot hold more flips than there are fault sites.
+// it runs it. A pattern cannot hold more flips than there are fault sites,
+// and the pattern space must fit in an int, because windows index it.
 const (
 	maxSpecStations  = 64
 	maxSpecPositions = 256
@@ -79,6 +80,10 @@ func (s Spec) Validate() error {
 	if sites := cfg.Stations * positions; s.MaxFlips < 0 || s.MaxFlips > sites {
 		return fmt.Errorf("verify: spec maxFlips %d outside [0,%d] (stations x positions)", s.MaxFlips, sites)
 	}
+	cfg.MaxFlips = s.MaxFlips
+	if _, err := cfg.PatternSpace(); err != nil {
+		return err
+	}
 	if s.PatternStart < 0 {
 		return fmt.Errorf("verify: spec patternStart %d negative", s.PatternStart)
 	}
@@ -97,7 +102,7 @@ func (s Spec) PatternSpace() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return cfg.PatternSpace(), nil
+	return cfg.PatternSpace()
 }
 
 // Config resolves the spec to a Config with the given parallelism.

@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/errmodel"
 	"repro/internal/frame"
@@ -131,18 +132,19 @@ type Config struct {
 	CrashSweep bool
 	// PatternStart / PatternCount select a contiguous slice of the
 	// pattern enumeration: patterns are indexed 0..PatternSpace-1 in the
-	// DFS pre-order the walk emits them, and only indices in
+	// DFS pre-order of flip sets (enum.go), and only indices in
 	// [PatternStart, PatternStart+PatternCount) are simulated and
-	// counted. PatternCount == 0 with PatternStart == 0 means the whole
-	// space; PatternCount == 0 with PatternStart > 0 means "from
-	// PatternStart to the end". The enumeration order is a pure function
-	// of (Stations, Positions, MaxFlips), so a partition of index ranges
-	// across workers checks exactly the full space once — the fleet
-	// coordinator's shard contract.
+	// counted; the window is clamped to the space. PatternCount == 0 with
+	// PatternStart == 0 means the whole space; PatternCount == 0 with
+	// PatternStart > 0 means "from PatternStart to the end". The
+	// enumeration order is a pure function of (Stations, Positions,
+	// MaxFlips), so a partition of index ranges across workers checks
+	// exactly the full space once — the fleet coordinator's shard
+	// contract.
 	PatternStart int
 	PatternCount int
 	// Parallelism bounds the number of concurrent simulations. Every
-	// pattern runs on its own private cluster, so the search is
+	// worker runs its patterns on its own cluster, so the search is
 	// embarrassingly parallel; values < 1 mean serial execution.
 	Parallelism int
 }
@@ -201,30 +203,31 @@ func Exhaustive(cfg Config) (*Report, error) {
 // PatternSpace returns the size of cfg's pattern enumeration — the
 // number of flip combinations of size 1..MaxFlips over the
 // Stations×positions fault sites, before any PatternStart/PatternCount
-// windowing. The fleet coordinator uses it to partition index ranges.
-func (c Config) PatternSpace() int {
+// windowing. The fleet coordinator uses it to partition index ranges. It
+// fails when the space does not fit in an int.
+func (c Config) PatternSpace() (int, error) {
 	stations := c.Stations
 	if stations == 0 {
 		stations = 4
 	}
 	n := stations * c.positions()
-	total := 0
-	for k := 1; k <= c.MaxFlips && k <= n; k++ {
-		// C(n, k) built multiplicatively; the spaces in scope here are
-		// small enough that int never overflows (n tens, k single digits).
-		comb := 1
-		for i := 0; i < k; i++ {
-			comb = comb * (n - i) / (i + 1)
-		}
-		total += comb
+	space, ok := patternSpace(n, c.MaxFlips)
+	if !ok {
+		return 0, fmt.Errorf("verify: pattern space of C(%d, <=%d) flips does not fit in an int", n, c.MaxFlips)
 	}
-	return total
+	return space, nil
 }
 
 // ExhaustiveContext is Exhaustive with cancellation: when ctx is
 // cancelled the enumeration stops early and the partial report is
 // returned alongside ctx's error, so a server drain or per-job timeout
 // ends a long verification promptly.
+//
+// Workers claim contiguous chunks of the window. A worker unranks its
+// chunk's first index and steps through the rest with the successor
+// function, so a window costs the same wherever it starts; each worker
+// runs every pattern on its own sim.FrameRunner, which restores the
+// undisturbed pre-EOF prefix instead of simulating it again.
 func ExhaustiveContext(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.Stations == 0 {
 		cfg.Stations = 4
@@ -238,6 +241,10 @@ func ExhaustiveContext(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.SlotsBudget == 0 {
 		cfg.SlotsBudget = 6000
 	}
+	space, err := cfg.PatternSpace()
+	if err != nil {
+		return nil, err
+	}
 	positions := cfg.positions()
 
 	// The atomic fault sites: (station, pos) pairs.
@@ -247,8 +254,8 @@ func ExhaustiveContext(ctx context.Context, cfg Config) (*Report, error) {
 			sites = append(sites, Flip{Station: s, Pos: p})
 		}
 	}
+	k := min(cfg.MaxFlips, len(sites))
 
-	rep := &Report{Config: cfg, PatternsBy: make([]int, cfg.MaxFlips+1)}
 	crashes := []int{-1}
 	if cfg.CrashSweep {
 		for s := 0; s < cfg.Stations; s++ {
@@ -256,107 +263,102 @@ func ExhaustiveContext(ctx context.Context, cfg Config) (*Report, error) {
 		}
 	}
 
-	parallelism := cfg.Parallelism
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	type job struct {
-		seq     int
-		pattern Pattern
-		crash   int
-	}
-	type result struct {
-		seq       int
-		violation Violation
-		bad       bool
-		err       error
-	}
-	jobs := make(chan job, parallelism)
-	results := make(chan result, parallelism)
-	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				v, bad, err := runPattern(cfg, j.pattern, j.crash)
-				results <- result{seq: j.seq, violation: v, bad: bad, err: err}
-			}
-		}()
+	// The pattern window: indices [start, end) of the DFS pre-order
+	// enumeration, clamped to the space. The default window is the whole
+	// space.
+	start := min(max(cfg.PatternStart, 0), space)
+	end := space
+	if cfg.PatternCount > 0 && cfg.PatternCount < space-start {
+		end = start + cfg.PatternCount
 	}
 
-	// Collector: drains results while the producer enumerates patterns.
-	// Violations arrive in worker-completion order; the seq tag recovers
-	// the enumeration order afterwards.
+	parallelism := max(cfg.Parallelism, 1)
+	window := end - start
+	chunk := max(1, min(maxChunk, window/(4*parallelism)))
+	chunks := window / chunk
+	if window%chunk != 0 {
+		chunks++
+	}
+	var claimed atomic.Int64 // chunks handed out so far
+
+	// A violation is tagged with its pattern index and crash placement:
+	// enumeration order is recovered after the workers finish.
 	type tagged struct {
-		seq int
-		v   Violation
+		idx, crash int
+		v          Violation
 	}
-	var found []tagged
-	var collectErr error
-	collected := make(chan struct{})
-	go func() {
-		defer close(collected)
-		for r := range results {
-			if r.err != nil && collectErr == nil {
-				collectErr = r.err
-			}
-			if r.bad {
-				found = append(found, tagged{seq: r.seq, v: r.violation})
-			}
-		}
-	}()
-
-	// The pattern window: indices [windowStart, windowEnd) of the DFS
-	// pre-order enumeration are simulated, everything else is walked past.
-	// The default window is the whole space.
-	windowStart := cfg.PatternStart
-	windowEnd := int(^uint(0) >> 1)
-	if cfg.PatternCount > 0 {
-		windowEnd = windowStart + cfg.PatternCount
+	type part struct {
+		by      []int
+		checked int
+		found   []tagged
+		err     error
 	}
-	idx := 0 // global pre-order pattern index, windowed or not
-	pattern := make(Pattern, 0, cfg.MaxFlips)
-	var walk func(start, remaining int)
-	walk = func(start, remaining int) {
-		if ctx.Err() != nil || idx >= windowEnd {
-			return
-		}
-		if len(pattern) > 0 {
-			if idx >= windowStart {
-				rep.PatternsBy[len(pattern)]++
-				rep.Checked++
-				for ci, crash := range crashes {
-					jobs <- job{
-						seq:     idx*len(crashes) + ci,
-						pattern: append(Pattern(nil), pattern...),
-						crash:   crash,
+	parts := make([]part, min(parallelism, chunks))
+	var wg sync.WaitGroup
+	for w := range parts {
+		wg.Add(1)
+		go func(out *part) {
+			defer wg.Done()
+			out.by = make([]int, cfg.MaxFlips+1)
+			runner, err := sim.NewFrameRunner(cfg.Policy, cfg.Stations, verifyFrame)
+			if err != nil {
+				out.err = err
+				return
+			}
+			idx := make([]int, 0, k)
+			pattern := make(Pattern, 0, k)
+			for ctx.Err() == nil {
+				c := int(claimed.Add(1)) - 1
+				if c >= chunks {
+					return
+				}
+				lo := start + c*chunk
+				hi := lo + min(chunk, end-lo)
+				idx = unrank(idx, len(sites), k, lo)
+				for i := lo; i < hi && ctx.Err() == nil; i++ {
+					pattern = pattern[:0]
+					for _, site := range idx {
+						pattern = append(pattern, sites[site])
 					}
+					out.by[len(pattern)]++
+					out.checked++
+					for ci, crash := range crashes {
+						cluster, quiet, deliveries := runner.Run(pattern.Rules(), crash, nil, cfg.SlotsBudget)
+						if outcome := Classify(cluster, deliveries, quiet); outcome != Consistent {
+							out.found = append(out.found, tagged{idx: i, crash: ci, v: Violation{
+								Pattern:    append(Pattern(nil), pattern...),
+								Outcome:    outcome,
+								Deliveries: deliveries,
+								Crashed:    crash,
+							}})
+						}
+					}
+					idx, _ = next(idx, len(sites), k)
 				}
 			}
-			idx++
-		}
-		if remaining == 0 {
-			return
-		}
-		for i := start; i < len(sites); i++ {
-			pattern = append(pattern, sites[i])
-			walk(i+1, remaining-1)
-			pattern = pattern[:len(pattern)-1]
-		}
+		}(&parts[w])
 	}
-	walk(0, cfg.MaxFlips)
-	close(jobs)
 	wg.Wait()
-	close(results)
-	<-collected
-	if collectErr != nil {
-		return nil, collectErr
+
+	rep := &Report{Config: cfg, PatternsBy: make([]int, cfg.MaxFlips+1)}
+	var found []tagged
+	for _, p := range parts {
+		if p.err != nil {
+			return nil, p.err
+		}
+		for size, n := range p.by {
+			rep.PatternsBy[size] += n
+		}
+		rep.Checked += p.checked
+		found = append(found, p.found...)
 	}
 	// Enumeration order is the report's canonical violation order: a pure
 	// function of the config, so a run is reproducible across worker
 	// counts and a partition of pattern windows merges by concatenation.
-	sort.Slice(found, func(i, j int) bool { return found[i].seq < found[j].seq })
+	sort.Slice(found, func(i, j int) bool {
+		a, b := found[i], found[j]
+		return a.idx < b.idx || a.idx == b.idx && a.crash < b.crash
+	})
 	rep.Violations = make([]Violation, 0, len(found))
 	for _, t := range found {
 		rep.Violations = append(rep.Violations, t.v)
@@ -367,25 +369,13 @@ func ExhaustiveContext(ctx context.Context, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// runPattern simulates one disturbance pattern, optionally crashing one
-// station at its first end-of-frame signalling, and classifies the run.
-func runPattern(cfg Config, p Pattern, crash int) (Violation, bool, error) {
-	f := &frame.Frame{ID: 0x123, Data: []byte{0xCA, 0xFE}}
-	cluster, quiet, deliveries, err := sim.RunFrame(cfg.Policy, cfg.Stations, f, p.Rules(), crash, nil, cfg.SlotsBudget)
-	if err != nil {
-		return Violation{}, false, err
-	}
-	outcome := Classify(cluster, deliveries, quiet)
-	if outcome == Consistent {
-		return Violation{}, false, nil
-	}
-	return Violation{
-		Pattern:    append(Pattern(nil), p...),
-		Outcome:    outcome,
-		Deliveries: deliveries,
-		Crashed:    crash,
-	}, true, nil
-}
+// maxChunk bounds the contiguous index range a worker claims at once:
+// small enough that the last chunks balance across workers, large enough
+// that the unranking at a chunk's start is noise.
+const maxChunk = 256
+
+// verifyFrame is the frame every pattern disturbs.
+var verifyFrame = &frame.Frame{ID: 0x123, Data: []byte{0xCA, 0xFE}}
 
 // Classify judges the fate of one frame broadcast by station 0, given how
 // many copies each station delivered and whether the bus went quiet.
