@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -46,7 +47,7 @@ func main() {
 	}
 	//lint:allow determinism -- CLI elapsed-time display; not simulation state
 	start := time.Now()
-	rep, err := verify.Exhaustive(verify.Config{
+	rep, memo, err := verify.ExhaustiveStats(context.Background(), verify.Config{
 		Policy:      policy,
 		Stations:    *stations,
 		MaxFlips:    *k,
@@ -61,6 +62,7 @@ func main() {
 	fmt.Println(rep.Summary())
 	//lint:allow determinism -- CLI elapsed-time display; not simulation state
 	fmt.Printf("elapsed: %s\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "suffix memo: %d hits, %d misses, %d entries\n", memo.Hits, memo.Misses, memo.Entries)
 	if !rep.Consistent() {
 		byOutcome := map[verify.Outcome]int{}
 		for _, v := range rep.Violations {

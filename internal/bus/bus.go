@@ -318,6 +318,13 @@ type State struct {
 // Slot returns the index of the next bit slot at the snapshot.
 func (s State) Slot() uint64 { return s.slot }
 
+// AppendKey appends the snapshot to a state key (see
+// bitstream.AppendKeyBool).
+func (s State) AppendKey(b []byte) []byte {
+	b = bitstream.AppendKeyUint(b, s.slot)
+	return append(b, byte(s.prevLevel))
+}
+
 // Snapshot captures the network's clock.
 func (n *Network) Snapshot() State {
 	return State{slot: n.slot, prevLevel: n.prevLevel}

@@ -178,7 +178,23 @@ type Rule struct {
 	// unlimited).
 	Count int
 
+	// AtEOFBit's condition, kept as data instead of a When closure so a
+	// caller can tell when the rule can no longer fire (EOFAttempt).
+	eof        bool
+	eofRel     int
+	eofAttempt int
+
 	fired []int // firings so far, indexed by station
+}
+
+// EOFAttempt reports the transmission attempt an AtEOFBit rule is bound
+// to (0 for any attempt). ok is false for every other rule, including an
+// AtEOFBit rule given a When condition afterwards: an opaque condition
+// may fire anywhere. A rule bound to attempt a only fires inside a
+// station's end-of-frame episode of attempt a, so once every station it
+// names has left that episode it never fires again.
+func (r *Rule) EOFAttempt() (attempt int, ok bool) {
+	return r.eofAttempt, r.eof && r.When == nil
 }
 
 func (r *Rule) matches(slot uint64, station int, view bus.ViewContext) bool {
@@ -193,6 +209,9 @@ func (r *Rule) matches(slot uint64, station int, view bus.ViewContext) bool {
 		if !found {
 			return false
 		}
+	}
+	if r.eof && (view.EOFRel != r.eofRel || r.eofAttempt != 0 && view.Attempts != r.eofAttempt) {
+		return false
 	}
 	if r.When != nil && !r.When(slot, station, view) {
 		return false
@@ -213,17 +232,9 @@ func (r *Rule) matches(slot uint64, station int, view bus.ViewContext) bool {
 // flipped when at least one rule fires.
 type Script struct {
 	rules []*Rule
-	log   []Firing
 }
 
 var _ bus.Disturber = (*Script)(nil)
-
-// Firing records one scripted disturbance, for assertions in tests.
-type Firing struct {
-	Slot    uint64
-	Station int
-	View    bus.ViewContext
-}
 
 // NewScript creates a script from the given rules.
 func NewScript(rules ...*Rule) *Script {
@@ -244,15 +255,7 @@ func (s *Script) Disturb(slot uint64, station int, view bus.ViewContext) bool {
 			fired = true
 		}
 	}
-	if fired {
-		s.log = append(s.log, Firing{Slot: slot, Station: station, View: view})
-	}
 	return fired
-}
-
-// Firings returns the disturbances injected so far.
-func (s *Script) Firings() []Firing {
-	return append([]Firing(nil), s.log...)
 }
 
 // AtEOFBit builds a rule that flips the view of the given stations at the
@@ -261,16 +264,7 @@ func (s *Script) Firings() []Firing {
 // paper's figures use: "a disturbance corrupts the last but one bit of the
 // EOF of the nodes belonging to X" becomes AtEOFBit(x, eofBits-1, 1).
 func AtEOFBit(stations []int, rel int, attempt int) *Rule {
-	return &Rule{
-		Stations: stations,
-		Count:    1,
-		When: func(_ uint64, _ int, v bus.ViewContext) bool {
-			if attempt != 0 && v.Attempts != attempt {
-				return false
-			}
-			return v.EOFRel == rel
-		},
-	}
+	return &Rule{Stations: stations, Count: 1, eof: true, eofRel: rel, eofAttempt: attempt}
 }
 
 // AtEOFBits builds one single-shot rule per EOF-relative position so a

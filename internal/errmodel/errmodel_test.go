@@ -123,19 +123,27 @@ func TestRuleStationFilter(t *testing.T) {
 func TestRuleCountLimitPerStation(t *testing.T) {
 	r := &Rule{Count: 2}
 	s := NewScript(r)
+	fired := 0
+	disturb := func(slot uint64, station int) bool {
+		if s.Disturb(slot, station, bus.ViewContext{}) {
+			fired++
+			return true
+		}
+		return false
+	}
 	for i := 0; i < 2; i++ {
-		if !s.Disturb(uint64(i), 0, bus.ViewContext{}) {
+		if !disturb(uint64(i), 0) {
 			t.Fatalf("fire %d must match", i)
 		}
 	}
-	if s.Disturb(2, 0, bus.ViewContext{}) {
+	if disturb(2, 0) {
 		t.Error("third fire on station 0 must not match")
 	}
-	if !s.Disturb(3, 1, bus.ViewContext{}) {
+	if !disturb(3, 1) {
 		t.Error("the limit is per station; station 1 must still fire")
 	}
-	if got := len(s.Firings()); got != 3 {
-		t.Errorf("firings = %d, want 3", got)
+	if fired != 3 {
+		t.Errorf("firings = %d, want 3", fired)
 	}
 }
 
@@ -158,6 +166,27 @@ func TestAtEOFBitRule(t *testing.T) {
 	}
 	if s.Disturb(1, 1, mk(6, 1)) {
 		t.Error("single-shot rule must not fire twice")
+	}
+}
+
+func TestRuleEOFAttempt(t *testing.T) {
+	if a, ok := AtEOFBit([]int{1}, 6, 1).EOFAttempt(); !ok || a != 1 {
+		t.Errorf("AtEOFBit(attempt 1): EOFAttempt = %d, %v", a, ok)
+	}
+	if a, ok := AtEOFBit(nil, 6, 0).EOFAttempt(); !ok || a != 0 {
+		t.Errorf("AtEOFBit(any attempt): EOFAttempt = %d, %v", a, ok)
+	}
+	opaque := AtEOFBit([]int{1}, 6, 1)
+	opaque.When = func(uint64, int, bus.ViewContext) bool { return true }
+	for name, r := range map[string]*Rule{
+		"AtEOFBit with a When": opaque,
+		"AtPhase":              AtPhase(nil, bus.PhaseEOF, 6),
+		"AtSlot":               AtSlot(nil, 3),
+		"literal":              {Count: 1},
+	} {
+		if _, ok := r.EOFAttempt(); ok {
+			t.Errorf("%s reports an EOF attempt", name)
+		}
 	}
 }
 

@@ -246,7 +246,15 @@ func (c *Controller) QueueLen() int { return c.queue.len() }
 func (c *Controller) Crash() {
 	c.crashed = true
 	c.setMode(SwitchedOff)
+	c.disconnect()
+}
+
+// disconnect stops the controller driving the bus. An end-of-frame
+// episode it held is dropped: a disconnected controller never resumes it,
+// and without it the controller can be snapshotted again.
+func (c *Controller) disconnect() {
 	c.state = stOff
+	c.episode = nil
 }
 
 // Crashed reports whether the node was crashed by fault injection.
@@ -349,10 +357,10 @@ func (c *Controller) refreshMode() {
 		// terminal
 	case c.tec >= BusOffLimit:
 		c.setMode(BusOff)
-		c.state = stOff
+		c.disconnect()
 	case c.opts.WarningSwitchOff && (c.tec >= WarningLimit || c.rec >= WarningLimit):
 		c.setMode(SwitchedOff)
-		c.state = stOff
+		c.disconnect()
 	case c.tec >= PassiveLimit || c.rec >= PassiveLimit:
 		c.setMode(ErrorPassive)
 	case c.mode == ErrorPassive:

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"repro/internal/bitstream"
 	"repro/internal/bus"
 	"repro/internal/errmodel"
 	"repro/internal/frame"
@@ -38,12 +39,61 @@ func RunFrame(policy node.EOFPolicy, stations int, f *frame.Frame, rules []*errm
 // restores the origin instead: a probe's own state cannot be rewound, so a
 // recording probe must see every slot from 0.
 //
+// A run from the prefix whose rules are all first-attempt AtEOFBit rules
+// also memoizes the rest of the run from its settle point, the first slot
+// after the prefix at which no station holds an end-of-frame episode.
+// Every station enters its first-attempt episode in the slot after the
+// prefix, so at the settle point every rule is dead and the rest of the
+// run is a pure function of the joint state: every controller's protocol
+// state, the network clock, the crash probe and the remaining budget.
+// Runs that reach an equal state share one simulated suffix (DESIGN.md
+// §7).
+//
 // A FrameRunner is not safe for concurrent use.
 type FrameRunner struct {
 	cluster *Cluster
 	f       *frame.Frame
 	origin  clusterState
 	prefix  clusterState
+
+	// memoSound records that every station enters its first-attempt
+	// end-of-frame episode in the slot after the prefix: the premise of
+	// the memo's soundness, checked once on the undisturbed broadcast.
+	memoSound  bool
+	settled    func() bool // the settle-point predicate, bound once
+	crash      CrashAtFirstFlag
+	deliveries []int
+	key        []byte
+	memo       map[string]*suffix
+	stats      MemoStats
+}
+
+// MemoStats counts a FrameRunner's suffix memo: runs that reached a
+// settle point whose suffix was memoized (Hits) or not (Misses), and the
+// suffixes held (Entries). Entries stop growing at memoEntries.
+type MemoStats struct {
+	Hits, Misses, Entries int
+}
+
+// Add accumulates o into s.
+func (s *MemoStats) Add(o MemoStats) {
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Entries += o.Entries
+}
+
+// memoEntries bounds a runner's memo. A full memo still serves hits but
+// stops inserting; the verification envelopes reach at most about a
+// thousand joint states per runner (CAN, k <= 3, crash sweep).
+const memoEntries = 1 << 12
+
+// suffix is a memoized rest of a run: the cluster state at its end and
+// the records each station appended after the settle point.
+type suffix struct {
+	end        clusterState
+	deliveries [][]Delivery
+	txResults  [][]TxResult
+	verdicts   [][]node.Verdict
 }
 
 // prefixLimit bounds the prefix search; an undisturbed frame reaches its
@@ -60,24 +110,37 @@ func NewFrameRunner(policy node.EOFPolicy, stations int, f *frame.Frame) (*Frame
 	if err := c.Nodes[0].Enqueue(f); err != nil {
 		return nil, err
 	}
-	r := &FrameRunner{cluster: c, f: f, origin: c.snapshot()}
+	r := &FrameRunner{
+		cluster:    c,
+		f:          f,
+		origin:     c.snapshot(),
+		deliveries: make([]int, stations),
+		memo:       make(map[string]*suffix),
+	}
 	r.prefix = r.origin
 	for i := 0; i < prefixLimit; i++ {
 		s := c.snapshot()
 		c.Net.Step()
-		if c.inEpisode() {
+		if c.holdsEpisode() {
 			r.prefix = s
+			r.memoSound = true
+			for _, n := range c.Nodes {
+				r.memoSound = r.memoSound && n.InEpisode() && n.Attempts() == 1
+			}
 			break
 		}
 	}
 	c.restore(&r.origin)
+	prefixSlot := r.prefix.net.Slot()
+	r.settled = func() bool { return c.Net.Slot() > prefixSlot && !c.holdsEpisode() }
 	return r, nil
 }
 
 // Run broadcasts the runner's frame once: it restores the latest snapshot
 // the run allows, attaches probes, rules and the crash probe, and runs the
 // rest of the maxSlots budget. The results mean what RunFrame's do; the
-// cluster is the runner's own and is overwritten by the next Run.
+// cluster and the deliveries slice are the runner's own and are
+// overwritten by the next Run.
 func (r *FrameRunner) Run(rules []*errmodel.Rule, crash int, probes []bus.Probe, maxSlots int) (*Cluster, bool, []int) {
 	from := &r.prefix
 	if len(probes) > 0 || int(from.net.Slot()) > maxSlots {
@@ -92,19 +155,113 @@ func (r *FrameRunner) Run(rules []*errmodel.Rule, crash int, probes []bus.Probe,
 		c.Net.AddDisturber(errmodel.NewScript(rules...))
 	}
 	if crash >= 0 {
-		c.Net.AddProbe(&CrashAtFirstFlag{Ctrl: c.Nodes[crash], Station: crash})
+		r.crash = CrashAtFirstFlag{Ctrl: c.Nodes[crash], Station: crash}
+		c.Net.AddProbe(&r.crash)
 	}
-	quiet := c.RunUntilQuiet(maxSlots - int(from.net.Slot()))
-	deliveries := make([]int, len(c.Nodes))
-	for i := range deliveries {
-		deliveries[i] = c.DeliveryCount(i, r.f)
+	budget := maxSlots - int(from.net.Slot())
+	var quiet bool
+	if from == &r.prefix && r.memoSound && len(probes) == 0 && firstAttemptEOF(rules) {
+		quiet = r.runMemo(crash, budget)
+	} else {
+		quiet = c.RunUntilQuiet(budget)
 	}
-	return c, quiet, deliveries
+	for i := range r.deliveries {
+		r.deliveries[i] = c.DeliveryCount(i, r.f)
+	}
+	return c, quiet, r.deliveries
+}
+
+// MemoStats returns the runner's memo counters.
+func (r *FrameRunner) MemoStats() MemoStats {
+	s := r.stats
+	s.Entries = len(r.memo)
+	return s
+}
+
+// firstAttemptEOF reports whether every rule is an AtEOFBit rule bound to
+// the first transmission attempt.
+func firstAttemptEOF(rules []*errmodel.Rule) bool {
+	for _, rule := range rules {
+		if attempt, ok := rule.EOFAttempt(); !ok || attempt != 1 {
+			return false
+		}
+	}
+	return true
+}
+
+// runMemo is RunUntilQuiet(budget) for a memoizable run: it simulates to
+// the settle point, then either replays a memoized suffix or simulates
+// the suffix and memoizes it. A run that exhausts its budget is never
+// memoized. A quiet cluster has always settled — an idle controller holds
+// no episode and a disconnected one drops its own — so stopping at the
+// settle point never runs past the slot at which RunUntilQuiet would
+// stop.
+func (r *FrameRunner) runMemo(crash, budget int) bool {
+	c := r.cluster
+	start := c.Net.Slot()
+	if !c.Net.RunUntil(r.settled, budget) {
+		c.Net.Run(4)
+		return false
+	}
+	budget -= int(c.Net.Slot() - start)
+	r.key = r.appendKey(r.key[:0], crash, budget)
+	if e, ok := r.memo[string(r.key)]; ok {
+		r.stats.Hits++
+		c.restoreState(&e.end)
+		for i := range c.Nodes {
+			c.Deliveries[i] = append(c.Deliveries[i], e.deliveries[i]...)
+			c.TxResults[i] = append(c.TxResults[i], e.txResults[i]...)
+			c.Verdicts[i] = append(c.Verdicts[i], e.verdicts[i]...)
+		}
+		return true
+	}
+	r.stats.Misses++
+	if len(r.memo) >= memoEntries {
+		return c.RunUntilQuiet(budget)
+	}
+	n := len(c.Nodes)
+	marks := make([][3]int, n)
+	for i := range marks {
+		marks[i] = [3]int{len(c.Deliveries[i]), len(c.TxResults[i]), len(c.Verdicts[i])}
+	}
+	if !c.RunUntilQuiet(budget) {
+		return false
+	}
+	if c.holdsEpisode() {
+		return true
+	}
+	e := &suffix{
+		end:        c.snapshot(),
+		deliveries: make([][]Delivery, n),
+		txResults:  make([][]TxResult, n),
+		verdicts:   make([][]node.Verdict, n),
+	}
+	for i, m := range marks {
+		e.deliveries[i] = append([]Delivery(nil), c.Deliveries[i][m[0]:]...)
+		e.txResults[i] = append([]TxResult(nil), c.TxResults[i][m[1]:]...)
+		e.verdicts[i] = append([]node.Verdict(nil), c.Verdicts[i][m[2]:]...)
+	}
+	r.memo[string(r.key)] = e
+	return true
+}
+
+// appendKey appends the memo key of the cluster's current state: the
+// network clock, every controller's protocol state, the crash probe's
+// station and whether it fired, and the remaining slot budget. Callers
+// ensure no controller holds an end-of-frame episode.
+func (r *FrameRunner) appendKey(b []byte, crash, budget int) []byte {
+	c := r.cluster
+	b = c.Net.Snapshot().AppendKey(b)
+	for _, n := range c.Nodes {
+		b = n.AppendKey(b)
+	}
+	b = bitstream.AppendKeyInt(b, int64(crash))
+	b = bitstream.AppendKeyBool(b, crash >= 0 && r.crash.done)
+	return bitstream.AppendKeyInt(b, int64(budget))
 }
 
 // clusterState is a cluster snapshot: the network's clock and every
-// controller's protocol state. It is taken before any station records a
-// delivery, transmission or verdict, so a restore empties those lists.
+// controller's protocol state, taken outside any end-of-frame episode.
 type clusterState struct {
 	net   bus.State
 	nodes []node.State
@@ -118,21 +275,32 @@ func (c *Cluster) snapshot() clusterState {
 	return s
 }
 
+// restore returns the cluster to a snapshot taken before any station
+// recorded a delivery, transmission or verdict, so it empties those
+// lists.
 func (c *Cluster) restore(s *clusterState) {
-	c.Net.Restore(s.net)
-	for i, n := range c.Nodes {
-		n.Restore(s.nodes[i])
+	c.restoreState(s)
+	for i := range c.Nodes {
 		c.Deliveries[i] = c.Deliveries[i][:0]
 		c.TxResults[i] = c.TxResults[i][:0]
 		c.Verdicts[i] = c.Verdicts[i][:0]
 	}
 }
 
-// inEpisode reports whether any station will sample an end-of-frame bit
-// in the next slot.
-func (c *Cluster) inEpisode() bool {
+// restoreState restores the network clock and every controller, leaving
+// the record lists alone.
+func (c *Cluster) restoreState(s *clusterState) {
+	c.Net.Restore(s.net)
+	for i, n := range c.Nodes {
+		n.Restore(s.nodes[i])
+	}
+}
+
+// holdsEpisode reports whether any controller holds an end-of-frame
+// episode, which a snapshot cannot capture.
+func (c *Cluster) holdsEpisode() bool {
 	for _, n := range c.Nodes {
-		if n.EOFRel() != 0 {
+		if n.InEpisode() {
 			return true
 		}
 	}

@@ -159,7 +159,7 @@ func TestFrameRunnerRestoresPrefixState(t *testing.T) {
 		slot := r.prefix.net.Slot()
 		fresh := freshCluster(t, policy, 4, runnerFrame, nil, -1)
 		fresh.Net.Run(int(slot))
-		if fresh.inEpisode() {
+		if fresh.holdsEpisode() {
 			t.Fatalf("%s: a station is in its episode at the snapshot slot %d", policy.Name(), slot)
 		}
 		if slot == 0 {
@@ -183,7 +183,7 @@ func TestFrameRunnerRestoresPrefixState(t *testing.T) {
 			}
 		}
 		fresh.Net.Step()
-		if !fresh.inEpisode() {
+		if !fresh.holdsEpisode() {
 			t.Errorf("%s: slot %d is not the last before an episode", policy.Name(), slot)
 		}
 	}

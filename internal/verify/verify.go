@@ -229,21 +229,30 @@ func (c Config) PatternSpace() (int, error) {
 // runs every pattern on its own sim.FrameRunner, which restores the
 // undisturbed pre-EOF prefix instead of simulating it again.
 func ExhaustiveContext(ctx context.Context, cfg Config) (*Report, error) {
+	rep, _, err := ExhaustiveStats(ctx, cfg)
+	return rep, err
+}
+
+// ExhaustiveStats is ExhaustiveContext that also returns the workers'
+// summed suffix-memo counters (sim.FrameRunner). The counters describe
+// the execution, not the verdict: they depend on the worker count.
+func ExhaustiveStats(ctx context.Context, cfg Config) (*Report, sim.MemoStats, error) {
+	var stats sim.MemoStats
 	if cfg.Stations == 0 {
 		cfg.Stations = 4
 	}
 	if cfg.Stations < 3 {
-		return nil, fmt.Errorf("verify: need >= 3 stations, got %d", cfg.Stations)
+		return nil, stats, fmt.Errorf("verify: need >= 3 stations, got %d", cfg.Stations)
 	}
 	if cfg.MaxFlips < 1 {
-		return nil, fmt.Errorf("verify: MaxFlips must be >= 1")
+		return nil, stats, fmt.Errorf("verify: MaxFlips must be >= 1")
 	}
 	if cfg.SlotsBudget == 0 {
 		cfg.SlotsBudget = 6000
 	}
 	space, err := cfg.PatternSpace()
 	if err != nil {
-		return nil, err
+		return nil, stats, err
 	}
 	positions := cfg.positions()
 
@@ -291,6 +300,7 @@ func ExhaustiveContext(ctx context.Context, cfg Config) (*Report, error) {
 		by      []int
 		checked int
 		found   []tagged
+		memo    sim.MemoStats
 		err     error
 	}
 	parts := make([]part, min(parallelism, chunks))
@@ -305,6 +315,7 @@ func ExhaustiveContext(ctx context.Context, cfg Config) (*Report, error) {
 				out.err = err
 				return
 			}
+			defer func() { out.memo = runner.MemoStats() }()
 			idx := make([]int, 0, k)
 			pattern := make(Pattern, 0, k)
 			for ctx.Err() == nil {
@@ -328,7 +339,7 @@ func ExhaustiveContext(ctx context.Context, cfg Config) (*Report, error) {
 							out.found = append(out.found, tagged{idx: i, crash: ci, v: Violation{
 								Pattern:    append(Pattern(nil), pattern...),
 								Outcome:    outcome,
-								Deliveries: deliveries,
+								Deliveries: append([]int(nil), deliveries...),
 								Crashed:    crash,
 							}})
 						}
@@ -344,8 +355,9 @@ func ExhaustiveContext(ctx context.Context, cfg Config) (*Report, error) {
 	var found []tagged
 	for _, p := range parts {
 		if p.err != nil {
-			return nil, p.err
+			return nil, stats, p.err
 		}
+		stats.Add(p.memo)
 		for size, n := range p.by {
 			rep.PatternsBy[size] += n
 		}
@@ -364,9 +376,9 @@ func ExhaustiveContext(ctx context.Context, cfg Config) (*Report, error) {
 		rep.Violations = append(rep.Violations, t.v)
 	}
 	if err := ctx.Err(); err != nil {
-		return rep, err
+		return rep, stats, err
 	}
-	return rep, nil
+	return rep, stats, nil
 }
 
 // maxChunk bounds the contiguous index range a worker claims at once:
