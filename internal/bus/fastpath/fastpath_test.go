@@ -325,38 +325,73 @@ func TestChaosCampaignEngineTransparent(t *testing.T) {
 }
 
 // TestZeroAllocsPerSlot pins the packed core's allocation behaviour: in
-// a sustained run — frame bodies, fast-forward windows, error
-// signalling, retransmissions — the engine allocates nothing per slot.
-// The scenario is an infinitely retransmitting frame: the only other
-// station is crashed, so every attempt ends in a missing ACK and the
-// transmitter retries forever, exercising encode (cached after the
-// first attempt), error flags and the interframe machinery in a loop
-// with no per-frame delivery (delivery hands the application a fresh
-// frame, which necessarily allocates and is out of scope here).
+// a sustained run the engine and the controllers allocate nothing per
+// slot. Two kinds of scenario, each measured after a warm-up:
+//
+//   - An infinitely retransmitting frame: the only other station is
+//     crashed, so every attempt ends in a missing ACK and the transmitter
+//     retries forever, exercising frame bodies, fast-forward windows,
+//     encode (cached after the first attempt), error flags and the
+//     interframe machinery with no end-of-frame episode.
+//   - Frame after frame from a preloaded queue to a hook-less receiver,
+//     under each protocol: every batch crosses end-of-frame episodes (the
+//     last-bit rule, MinorCAN's probe, MajorCAN's sub-fields) and
+//     deliveries. The episode is a value in the controller's state, and
+//     without an OnDeliver hook nothing reads the delivered frame, so
+//     nothing is built.
 func TestZeroAllocsPerSlot(t *testing.T) {
-	net := bus.NewNetwork()
-	tx := node.New("tx", core.NewStandard(), node.Options{})
-	rx := node.New("rx", core.NewStandard(), node.Options{})
-	net.Attach(tx)
-	net.Attach(rx)
-	rx.Crash()
-	fastpath.Install(net)
-	if err := tx.Enqueue(&frame.Frame{ID: 0x123, Data: []byte{0xDE, 0xAD, 0xBE, 0xEF}}); err != nil {
-		t.Fatal(err)
-	}
-	// Reach steady state: encode cache warm, transmitter error-passive
-	// (the ACK-error exception then holds TEC constant, so the retry
-	// loop runs forever without a mode change).
-	net.Run(5000)
-	if tx.TxSuccesses() != 0 {
-		t.Fatal("frame must never succeed with the only receiver crashed")
-	}
-	if tx.Mode() == node.BusOff {
-		t.Fatal("transmitter must not reach bus-off in the no-ACK loop")
-	}
-	allocs := testing.AllocsPerRun(20, func() { net.Run(512) })
-	if allocs != 0 {
-		t.Fatalf("allocations per 512-slot batch = %g, want 0", allocs)
+	const batch, runs = 512, 20
+	t.Run("no-ACK retry loop", func(t *testing.T) {
+		net := bus.NewNetwork()
+		tx := node.New("tx", core.NewStandard(), node.Options{})
+		rx := node.New("rx", core.NewStandard(), node.Options{})
+		net.Attach(tx)
+		net.Attach(rx)
+		rx.Crash()
+		fastpath.Install(net)
+		if err := tx.Enqueue(&frame.Frame{ID: 0x123, Data: []byte{0xDE, 0xAD, 0xBE, 0xEF}}); err != nil {
+			t.Fatal(err)
+		}
+		// Reach steady state: encode cache warm, transmitter error-passive
+		// (the ACK-error exception then holds TEC constant, so the retry
+		// loop runs forever without a mode change).
+		net.Run(5000)
+		if tx.TxSuccesses() != 0 {
+			t.Fatal("frame must never succeed with the only receiver crashed")
+		}
+		if tx.Mode() == node.BusOff {
+			t.Fatal("transmitter must not reach bus-off in the no-ACK loop")
+		}
+		allocs := testing.AllocsPerRun(runs, func() { net.Run(batch) })
+		if allocs != 0 {
+			t.Fatalf("allocations per %d-slot batch = %g, want 0", batch, allocs)
+		}
+	})
+	for _, policy := range []node.EOFPolicy{core.NewStandard(), core.NewMinorCAN(), core.MustMajorCAN(5)} {
+		t.Run("frames/"+policy.Name(), func(t *testing.T) {
+			net := bus.NewNetwork()
+			tx := node.New("tx", policy, node.Options{})
+			rx := node.New("rx", policy, node.Options{})
+			net.Attach(tx)
+			net.Attach(rx)
+			fastpath.Install(net)
+			// Enough frames that the queue outlasts the warm-up and every
+			// measured batch (a frame takes well over 64 slots).
+			for i := 0; i < (runs+2)*batch/64; i++ {
+				if err := tx.Enqueue(&frame.Frame{ID: 0x123, Data: []byte{0xDE, 0xAD, 0xBE, 0xEF}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			net.Run(batch) // warm the encode cache
+			before := rx.Delivered()
+			allocs := testing.AllocsPerRun(runs, func() { net.Run(batch) })
+			if allocs != 0 {
+				t.Errorf("allocations per %d-slot batch = %g, want 0", batch, allocs)
+			}
+			if delivered := rx.Delivered() - before; delivered < 2*runs || tx.QueueLen() == 0 {
+				t.Errorf("%d frames delivered in the measured batches, %d still queued: the batches must cross whole frames", delivered, tx.QueueLen())
+			}
+		})
 	}
 }
 

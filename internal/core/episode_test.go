@@ -9,10 +9,35 @@ import (
 	"repro/internal/node"
 )
 
+// episode steps one end-of-frame episode of a policy the way the
+// controller does: the policy's Drive, Phase and Latch over the episode
+// value, the position advancing after every latched bit.
+type episode struct {
+	p  node.EOFPolicy
+	e  node.Episode
+	tx bool
+}
+
+// newEpisode opens an episode with the given facts.
+func newEpisode(p node.EOFPolicy, e node.Episode, transmitter bool) *episode {
+	e.Open()
+	return &episode{p: p, e: e, tx: transmitter}
+}
+
+func (ep *episode) Drive() bitstream.Level { return ep.p.Drive(&ep.e) }
+
+func (ep *episode) Phase() (bus.Phase, int) { return ep.p.Phase(&ep.e), ep.e.Pos }
+
+func (ep *episode) Latch(level bitstream.Level) node.EpisodeStatus {
+	st := ep.p.Latch(&ep.e, level, ep.tx)
+	ep.e.Pos++
+	return st
+}
+
 // drive feeds a level sequence into an episode and returns the drives it
 // produced (one per latched bit, queried before each Latch) and the final
 // status.
-func drive(t *testing.T, ep node.EOFEpisode, levels string) (bitstream.Sequence, node.EpisodeStatus) {
+func drive(t *testing.T, ep *episode, levels string) (bitstream.Sequence, node.EpisodeStatus) {
 	t.Helper()
 	seq, err := bitstream.ParseSequence(levels)
 	if err != nil {
@@ -31,7 +56,7 @@ func drive(t *testing.T, ep node.EOFEpisode, levels string) (bitstream.Sequence,
 }
 
 func TestStandardEpisodeCleanAccept(t *testing.T) {
-	ep := core.NewStandard().NewEpisode(node.EpisodeEnv{})
+	ep := newEpisode(core.NewStandard(), node.Episode{}, false)
 	out, st := drive(t, ep, "rrrrrrr") // 7 clean EOF bits
 	if !st.Done || st.Verdict != node.VerdictAccept || st.After != node.AfterNone {
 		t.Errorf("status = %+v, want done/accept/none", st)
@@ -42,7 +67,7 @@ func TestStandardEpisodeCleanAccept(t *testing.T) {
 }
 
 func TestStandardEpisodeReceiverEarlyErrorRejects(t *testing.T) {
-	ep := core.NewStandard().NewEpisode(node.EpisodeEnv{})
+	ep := newEpisode(core.NewStandard(), node.Episode{}, false)
 	// Dominant at EOF bit 3: 6-bit error flag at bits 4..9, then done.
 	out, st := drive(t, ep, "rrd"+"rrrrrr")
 	if !st.Done || st.Verdict != node.VerdictReject || st.After != node.AfterErrorDelim {
@@ -58,7 +83,7 @@ func TestStandardEpisodeReceiverEarlyErrorRejects(t *testing.T) {
 
 func TestStandardEpisodeLastBitRule(t *testing.T) {
 	t.Run("receiver accepts with overload flag", func(t *testing.T) {
-		ep := core.NewStandard().NewEpisode(node.EpisodeEnv{})
+		ep := newEpisode(core.NewStandard(), node.Episode{}, false)
 		out, st := drive(t, ep, "rrrrrr"+"d"+"rrrrrr")
 		if st.Verdict != node.VerdictAccept || st.After != node.AfterOverloadDelim {
 			t.Errorf("status = %+v, want accept/overload-delim", st)
@@ -68,7 +93,7 @@ func TestStandardEpisodeLastBitRule(t *testing.T) {
 		}
 	})
 	t.Run("transmitter rejects and retransmits", func(t *testing.T) {
-		ep := core.NewStandard().NewEpisode(node.EpisodeEnv{Transmitter: true})
+		ep := newEpisode(core.NewStandard(), node.Episode{}, true)
 		_, st := drive(t, ep, "rrrrrr"+"d"+"rrrrrr")
 		if st.Verdict != node.VerdictReject || st.After != node.AfterErrorDelim {
 			t.Errorf("status = %+v, want reject/error-delim", st)
@@ -80,7 +105,7 @@ func TestStandardEpisodeLastBitRule(t *testing.T) {
 }
 
 func TestStandardEpisodeRejectAtStart(t *testing.T) {
-	ep := core.NewStandard().NewEpisode(node.EpisodeEnv{RejectAtStart: true, RejectKind: node.ErrCRC})
+	ep := newEpisode(core.NewStandard(), node.Episode{RejectAtStart: true, RejectKind: node.ErrCRC}, false)
 	// Flag occupies EOF bits 1..6 regardless of the bus.
 	out, st := drive(t, ep, "dddddd")
 	if st.Verdict != node.VerdictReject || st.Kind != node.ErrCRC {
@@ -94,7 +119,7 @@ func TestStandardEpisodeRejectAtStart(t *testing.T) {
 func TestMinorEpisodePrimaryProbeAccept(t *testing.T) {
 	// Error at the last bit, then dominant at the probe bit (another
 	// node's flag still running): primary error, accept.
-	ep := core.NewMinorCAN().NewEpisode(node.EpisodeEnv{})
+	ep := newEpisode(core.NewMinorCAN(), node.Episode{}, false)
 	out, st := drive(t, ep, "rrrrrr"+"d"+"rrrrrr"+"d")
 	if st.Verdict != node.VerdictAccept || st.After != node.AfterOverloadDelim {
 		t.Errorf("status = %+v, want accept/overload-delim", st)
@@ -110,7 +135,7 @@ func TestMinorEpisodePrimaryProbeAccept(t *testing.T) {
 func TestMinorEpisodePrimaryProbeReject(t *testing.T) {
 	// Error at the last bit, recessive probe: someone flagged before us,
 	// reject; the probe bit counts as the first delimiter bit.
-	ep := core.NewMinorCAN().NewEpisode(node.EpisodeEnv{})
+	ep := newEpisode(core.NewMinorCAN(), node.Episode{}, false)
 	_, st := drive(t, ep, "rrrrrr"+"d"+"rrrrrr"+"r")
 	if st.Verdict != node.VerdictReject || st.After != node.AfterErrorDelim {
 		t.Errorf("status = %+v, want reject/error-delim", st)
@@ -121,7 +146,7 @@ func TestMinorEpisodePrimaryProbeReject(t *testing.T) {
 }
 
 func TestMinorEpisodeEarlyErrorStandardBehaviour(t *testing.T) {
-	ep := core.NewMinorCAN().NewEpisode(node.EpisodeEnv{})
+	ep := newEpisode(core.NewMinorCAN(), node.Episode{}, false)
 	_, st := drive(t, ep, "d"+"rrrrrr")
 	if st.Verdict != node.VerdictReject {
 		t.Errorf("verdict = %v, want reject", st.Verdict)
@@ -130,7 +155,7 @@ func TestMinorEpisodeEarlyErrorStandardBehaviour(t *testing.T) {
 
 func TestMajorEpisodeCleanAccept(t *testing.T) {
 	m := 5
-	ep := core.MustMajorCAN(m).NewEpisode(node.EpisodeEnv{})
+	ep := newEpisode(core.MustMajorCAN(m), node.Episode{}, false)
 	levels := ""
 	for i := 0; i < 2*m; i++ {
 		levels += "r"
@@ -149,7 +174,7 @@ func TestMajorEpisodeCleanAccept(t *testing.T) {
 func TestMajorEpisodeFirstSubfieldSampling(t *testing.T) {
 	m := 5
 	t.Run("majority dominant accepts", func(t *testing.T) {
-		ep := core.MustMajorCAN(m).NewEpisode(node.EpisodeEnv{})
+		ep := newEpisode(core.MustMajorCAN(m), node.Episode{}, false)
 		// Error at pos 3; flag at 4..9; quiet 10..11; window 12..20 all
 		// dominant (an extender notifying).
 		levels := "rrd" + "rrrrrr" + "rr" + "ddddddddd"
@@ -162,7 +187,7 @@ func TestMajorEpisodeFirstSubfieldSampling(t *testing.T) {
 		}
 	})
 	t.Run("exact majority m of 2m-1 accepts", func(t *testing.T) {
-		ep := core.MustMajorCAN(m).NewEpisode(node.EpisodeEnv{})
+		ep := newEpisode(core.MustMajorCAN(m), node.Episode{}, false)
 		levels := "rrd" + "rrrrrr" + "rr" + "dddddrrrr" // 5 of 9 dominant
 		_, st := drive(t, ep, levels)
 		if st.Verdict != node.VerdictAccept {
@@ -170,7 +195,7 @@ func TestMajorEpisodeFirstSubfieldSampling(t *testing.T) {
 		}
 	})
 	t.Run("minority dominant rejects", func(t *testing.T) {
-		ep := core.MustMajorCAN(m).NewEpisode(node.EpisodeEnv{})
+		ep := newEpisode(core.MustMajorCAN(m), node.Episode{}, false)
 		levels := "rrd" + "rrrrrr" + "rr" + "ddddrrrrr" // 4 of 9 dominant
 		_, st := drive(t, ep, levels)
 		if st.Verdict != node.VerdictReject {
@@ -178,7 +203,7 @@ func TestMajorEpisodeFirstSubfieldSampling(t *testing.T) {
 		}
 	})
 	t.Run("dominants outside the window are not votes", func(t *testing.T) {
-		ep := core.MustMajorCAN(m).NewEpisode(node.EpisodeEnv{})
+		ep := newEpisode(core.MustMajorCAN(m), node.Episode{}, false)
 		// Error at pos 1; flag 2..7; positions 8..11 dominant (other
 		// flags, before the window); window 12..20 all recessive.
 		levels := "d" + "rrrrrr" + "dddd" + "rrrrrrrrr"
@@ -192,7 +217,7 @@ func TestMajorEpisodeFirstSubfieldSampling(t *testing.T) {
 // Second sub-field detection: accept and extend the flag through 3m+5.
 func TestMajorEpisodeSecondSubfieldExtends(t *testing.T) {
 	m := 5
-	ep := core.MustMajorCAN(m).NewEpisode(node.EpisodeEnv{})
+	ep := newEpisode(core.MustMajorCAN(m), node.Episode{}, false)
 	// Error at pos 6 (first bit of the second sub-field): extended flag
 	// from 7 through 20.
 	levels := "rrrrr" + "d" + "dddddddddddddd" // pos 1..20
@@ -210,7 +235,7 @@ func TestMajorEpisodeSecondSubfieldExtends(t *testing.T) {
 // even an all-dominant bus (others accepting) must not change the verdict.
 func TestMajorEpisodeRejectAtStartNeverAccepts(t *testing.T) {
 	m := 5
-	ep := core.MustMajorCAN(m).NewEpisode(node.EpisodeEnv{RejectAtStart: true, RejectKind: node.ErrCRC})
+	ep := newEpisode(core.MustMajorCAN(m), node.Episode{RejectAtStart: true, RejectKind: node.ErrCRC}, false)
 	levels := "dddddd" + "dddddddddddddd" // bus dominant throughout
 	out, st := drive(t, ep, levels)
 	if st.Verdict != node.VerdictReject {
@@ -226,7 +251,7 @@ func TestMajorEpisodeRejectAtStartNeverAccepts(t *testing.T) {
 // stray dominants outside the window sends no additional flag.
 func TestMajorEpisodeSuppressesSecondErrors(t *testing.T) {
 	m := 5
-	ep := core.MustMajorCAN(m).NewEpisode(node.EpisodeEnv{})
+	ep := newEpisode(core.MustMajorCAN(m), node.Episode{}, false)
 	// Error at 2, flag 3..8, stray dominant at 10, window 12..20 recessive.
 	levels := "rd" + "rrrrrr" + "rd" + "r" + "rrrrrrrrr" // pos 1..20
 	out, st := drive(t, ep, levels)
@@ -244,7 +269,7 @@ func TestMajorEpisodeSuppressesSecondErrors(t *testing.T) {
 func TestMajorEpisodePhaseReporting(t *testing.T) {
 	m := 5
 	p := core.MustMajorCAN(m)
-	ep := p.NewEpisode(node.EpisodeEnv{})
+	ep := newEpisode(p, node.Episode{}, false)
 	phase, pos := ep.Phase()
 	if phase != bus.PhaseEOF || pos != 1 {
 		t.Errorf("initial phase = %v@%d, want eof@1", phase, pos)

@@ -88,147 +88,86 @@ func (p MajorCAN) BestCaseOverhead() int { return 2*p.m - 7 }
 // Section 6 figure; 11 bits for m = 5).
 func (p MajorCAN) WorstCaseOverhead() int { return 4*p.m - 9 }
 
-// NewEpisode implements node.EOFPolicy.
-func (p MajorCAN) NewEpisode(env node.EpisodeEnv) node.EOFEpisode {
-	ep := &majorEpisode{m: p.m, env: env, pos: 1}
-	if env.RejectAtStart {
-		ep.mode = majFlag
-		ep.flagLeft = flagBits
-		ep.afterFlag = majRejectWait
-		ep.status = node.EpisodeStatus{
-			Verdict:   node.VerdictReject,
-			After:     node.AfterErrorDelim,
-			Signalled: true,
-			Kind:      env.RejectKind,
-		}
-	}
-	return ep
-}
-
-type majMode uint8
-
+// MajorCAN's own step modes.
 const (
-	majQuiet      majMode = iota // monitoring the EOF field
-	majFlag                      // sending the 6-bit error flag
-	majSampling                  // monitoring through 3m+5, voting in the window
-	majExtFlag                   // sending the extended (acceptance) flag
-	majRejectWait                // rejected from the start; waiting out the episode
+	majSampling   = node.EpisodeFlag + 1 + iota // monitoring through 3m+5, voting in the window
+	majExtFlag                                  // sending the extended (acceptance) flag
+	majRejectWait                               // rejected from the start; waiting out the episode
 )
 
-type majorEpisode struct {
-	m         int
-	env       node.EpisodeEnv
-	pos       int // 1-based, relative to the first EOF bit
-	mode      majMode
-	afterFlag majMode
-	flagLeft  int
-	votes     int // dominant samples inside the window
-	status    node.EpisodeStatus
+// Drive implements node.EOFPolicy.
+func (MajorCAN) Drive(e *node.Episode) bitstream.Level {
+	return e.Drive(e.Mode == node.EpisodeFlag || e.Mode == majExtFlag)
 }
 
-func (e *majorEpisode) endPos() int      { return 3*e.m + 5 }
-func (e *majorEpisode) windowStart() int { return e.m + 7 }
-
-func (e *majorEpisode) Drive() bitstream.Level {
-	switch e.mode {
-	case majFlag, majExtFlag:
-		if e.env.ErrorPassive {
-			return bitstream.Recessive
-		}
-		return bitstream.Dominant
-	default:
-		return bitstream.Recessive
-	}
-}
-
-func (e *majorEpisode) Phase() (bus.Phase, int) {
-	switch e.mode {
-	case majFlag:
-		return bus.PhaseErrorFlag, e.pos
+// Phase implements node.EOFPolicy.
+func (MajorCAN) Phase(e *node.Episode) bus.Phase {
+	switch e.Mode {
+	case node.EpisodeFlag:
+		return bus.PhaseErrorFlag
 	case majExtFlag:
-		return bus.PhaseExtFlag, e.pos
+		return bus.PhaseExtFlag
 	case majSampling:
-		return bus.PhaseSampling, e.pos
+		return bus.PhaseSampling
 	case majRejectWait:
 		// Waiting out the episode without sampling (second errors are
 		// suppressed); reported as the delimiter phase.
-		return bus.PhaseErrorDelim, e.pos
+		return bus.PhaseErrorDelim
 	default:
-		return bus.PhaseEOF, e.pos
+		return bus.PhaseEOF
 	}
 }
 
-func (e *majorEpisode) Latch(level bitstream.Level) node.EpisodeStatus {
-	defer func() { e.pos++ }()
-	switch e.mode {
-	case majQuiet:
-		if level == bitstream.Dominant {
-			kind := node.ErrForm
-			if e.env.Transmitter {
-				kind = node.ErrBit
+// Latch implements node.EOFPolicy.
+func (p MajorCAN) Latch(e *node.Episode, level bitstream.Level, transmitter bool) node.EpisodeStatus {
+	switch e.Mode {
+	case node.EpisodeQuiet:
+		switch {
+		case level == bitstream.Recessive:
+			return e.CleanEnd(p.EOFBits())
+		case e.Pos <= p.m:
+			// First sub-field: 6-bit flag, then decide by sampling.
+			e.StartFlag(node.EpisodeFlag, node.EpisodeStatus{Signalled: true, Kind: e.Detected(transmitter)})
+		default:
+			// Second sub-field: accept and notify with the extended flag
+			// through position 3m+5.
+			e.Mode = majExtFlag
+			e.Status = node.EpisodeStatus{
+				Verdict:   node.VerdictAccept,
+				After:     node.AfterErrorDelim,
+				Signalled: true,
+				Kind:      e.Detected(transmitter),
 			}
-			if e.pos <= e.m {
-				// First sub-field: 6-bit flag, then decide by sampling.
-				e.mode = majFlag
-				e.flagLeft = flagBits
-				e.afterFlag = majSampling
-				e.status = node.EpisodeStatus{Signalled: true, Kind: kind}
-			} else {
-				// Second sub-field: accept and notify with the extended
-				// flag through position 3m+5.
-				e.mode = majExtFlag
-				e.status = node.EpisodeStatus{
-					Verdict:   node.VerdictAccept,
-					After:     node.AfterErrorDelim,
-					Signalled: true,
-					Kind:      kind,
-				}
+		}
+	case node.EpisodeFlag:
+		if e.CountFlag() {
+			e.Mode = majSampling
+			if e.RejectAtStart {
+				e.Mode = majRejectWait
 			}
-			return node.EpisodeStatus{}
 		}
-		if e.pos >= 2*e.m {
-			return node.EpisodeStatus{Done: true, Verdict: node.VerdictAccept, After: node.AfterNone}
-		}
-		return node.EpisodeStatus{}
-	case majFlag:
-		e.flagLeft--
-		if e.flagLeft <= 0 {
-			e.mode = e.afterFlag
-		}
-		return node.EpisodeStatus{}
 	case majSampling:
-		if e.pos >= e.windowStart() && level == bitstream.Dominant {
-			e.votes++
+		if e.Pos >= p.WindowStart() && level == bitstream.Dominant {
+			e.Votes++
 		}
-		if e.pos >= e.endPos() {
-			st := e.status
-			st.Done = true
+		if e.Pos >= p.EndPos() {
+			st := e.Finish()
 			st.After = node.AfterErrorDelim
-			if e.votes >= e.m {
+			if e.Votes >= p.m {
 				// Majority of the 2m-1 samples dominant: some node is
 				// notifying acceptance.
 				st.Verdict = node.VerdictAccept
 				st.VoteCorrected = true
-				st.Votes = e.votes
+				st.Votes = e.Votes
 			} else {
 				st.Verdict = node.VerdictReject
 			}
 			return st
 		}
-		return node.EpisodeStatus{}
-	case majExtFlag:
-		if e.pos >= e.endPos() {
-			st := e.status
-			st.Done = true
-			return st
+	default: // majExtFlag, majRejectWait: second errors are not signalled
+		if e.Pos >= p.EndPos() {
+			return e.Finish()
 		}
-		return node.EpisodeStatus{}
-	default: // majRejectWait: second errors are not signalled
-		if e.pos >= e.endPos() {
-			st := e.status
-			st.Done = true
-			return st
-		}
-		return node.EpisodeStatus{}
 	}
+	return node.EpisodeStatus{}
 }

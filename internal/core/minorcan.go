@@ -35,101 +35,51 @@ func (MinorCAN) EOFBits() int { return frame.StandardEOFBits }
 // DelimiterBits implements node.EOFPolicy.
 func (MinorCAN) DelimiterBits() int { return 8 }
 
-// NewEpisode implements node.EOFPolicy.
-func (MinorCAN) NewEpisode(env node.EpisodeEnv) node.EOFEpisode {
-	ep := &minorEpisode{eofBits: frame.StandardEOFBits, env: env, pos: 1}
-	if env.RejectAtStart {
-		ep.mode = minorFlag
-		ep.flagLeft = flagBits
-		ep.status = node.EpisodeStatus{
-			Verdict:   node.VerdictReject,
-			After:     node.AfterErrorDelim,
-			Signalled: true,
-			Kind:      env.RejectKind,
-		}
-	}
-	return ep
-}
-
-type minorMode uint8
-
+// MinorCAN's own step modes.
 const (
-	minorQuiet   minorMode = iota // monitoring the EOF field
-	minorFlag                     // sending a flag; status already decided
-	minorLastbit                  // sending a flag for a last-bit error; probe follows
-	minorProbe                    // sampling the bit after the own flag (Primary_error)
+	minorLastbit = node.EpisodeFlag + 1 + iota // sending a flag for a last-bit error; probe follows
+	minorProbe                                 // sampling the bit after the own flag (Primary_error)
 )
 
-type minorEpisode struct {
-	eofBits  int
-	env      node.EpisodeEnv
-	pos      int
-	mode     minorMode
-	flagLeft int
-	status   node.EpisodeStatus
+// Drive implements node.EOFPolicy.
+func (MinorCAN) Drive(e *node.Episode) bitstream.Level {
+	return e.Drive(e.Mode == node.EpisodeFlag || e.Mode == minorLastbit)
 }
 
-func (e *minorEpisode) Drive() bitstream.Level {
-	if (e.mode == minorFlag || e.mode == minorLastbit) && !e.env.ErrorPassive {
-		return bitstream.Dominant
-	}
-	return bitstream.Recessive
-}
-
-func (e *minorEpisode) Phase() (bus.Phase, int) {
-	switch e.mode {
-	case minorFlag, minorLastbit:
-		return bus.PhaseErrorFlag, e.pos
+// Phase implements node.EOFPolicy.
+func (MinorCAN) Phase(e *node.Episode) bus.Phase {
+	switch e.Mode {
+	case node.EpisodeFlag, minorLastbit:
+		return bus.PhaseErrorFlag
 	case minorProbe:
-		return bus.PhaseSampling, e.pos
+		return bus.PhaseSampling
 	default:
-		return bus.PhaseEOF, e.pos
+		return bus.PhaseEOF
 	}
 }
 
-func (e *minorEpisode) Latch(level bitstream.Level) node.EpisodeStatus {
-	defer func() { e.pos++ }()
-	switch e.mode {
-	case minorQuiet:
-		if level == bitstream.Dominant {
-			e.flagLeft = flagBits
-			if e.pos < e.eofBits {
-				// Before the last EOF bit: reject as in standard CAN.
-				e.mode = minorFlag
-				kind := node.ErrForm
-				if e.env.Transmitter {
-					kind = node.ErrBit
-				}
-				e.status = node.EpisodeStatus{
-					Verdict:   node.VerdictReject,
-					After:     node.AfterErrorDelim,
-					Signalled: true,
-					Kind:      kind,
-				}
-			} else {
-				// Last EOF bit: flag now, decide by the Primary_error probe.
-				e.mode = minorLastbit
-			}
-			return node.EpisodeStatus{}
+// Latch implements node.EOFPolicy.
+func (MinorCAN) Latch(e *node.Episode, level bitstream.Level, transmitter bool) node.EpisodeStatus {
+	switch e.Mode {
+	case node.EpisodeQuiet:
+		switch {
+		case level == bitstream.Recessive:
+			return e.CleanEnd(frame.StandardEOFBits)
+		case e.Pos < frame.StandardEOFBits:
+			// Before the last EOF bit: reject as in standard CAN.
+			e.Reject(e.Detected(transmitter))
+		default:
+			// Last EOF bit: flag now, decide by the Primary_error probe.
+			e.StartFlag(minorLastbit, node.EpisodeStatus{})
 		}
-		if e.pos >= e.eofBits {
-			return node.EpisodeStatus{Done: true, Verdict: node.VerdictAccept, After: node.AfterNone}
+	case node.EpisodeFlag:
+		if e.CountFlag() {
+			return e.Finish()
 		}
-		return node.EpisodeStatus{}
-	case minorFlag:
-		e.flagLeft--
-		if e.flagLeft <= 0 {
-			st := e.status
-			st.Done = true
-			return st
-		}
-		return node.EpisodeStatus{}
 	case minorLastbit:
-		e.flagLeft--
-		if e.flagLeft <= 0 {
-			e.mode = minorProbe
+		if e.CountFlag() {
+			e.Mode = minorProbe
 		}
-		return node.EpisodeStatus{}
 	default: // minorProbe: the bit right after the own flag
 		if level == bitstream.Dominant {
 			// Primary_error: some other node's flag is still on the bus, so
@@ -154,4 +104,5 @@ func (e *minorEpisode) Latch(level bitstream.Level) node.EpisodeStatus {
 			Kind:        node.ErrForm,
 		}
 	}
+	return node.EpisodeStatus{}
 }

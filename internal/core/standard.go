@@ -1,7 +1,7 @@
 // Package core implements the end-of-frame protocol variants the MajorCAN
 // paper studies: standard CAN (ISO 11898), the MinorCAN modification and
 // the MajorCAN_m protocol, as node.EOFPolicy implementations for the
-// simulated controller.
+// simulated controller: step functions over its node.Episode value.
 package core
 
 import (
@@ -10,9 +10,6 @@ import (
 	"repro/internal/frame"
 	"repro/internal/node"
 )
-
-// flagBits is the length of active error and overload flags.
-const flagBits = 6
 
 // Standard is the standard CAN end-of-frame behaviour: a 7-bit EOF, an
 // 8-bit error delimiter and the "last bit of EOF" rule — a receiver
@@ -35,101 +32,45 @@ func (Standard) EOFBits() int { return frame.StandardEOFBits }
 // DelimiterBits implements node.EOFPolicy.
 func (Standard) DelimiterBits() int { return 8 }
 
-// NewEpisode implements node.EOFPolicy.
-func (Standard) NewEpisode(env node.EpisodeEnv) node.EOFEpisode {
-	ep := &stdEpisode{eofBits: frame.StandardEOFBits, env: env, pos: 1}
-	if env.RejectAtStart {
-		ep.mode = stdFlag
-		ep.flagLeft = flagBits
-		ep.status = node.EpisodeStatus{
-			Verdict:   node.VerdictReject,
-			After:     node.AfterErrorDelim,
-			Signalled: true,
-			Kind:      env.RejectKind,
-		}
-	}
-	return ep
+// Drive implements node.EOFPolicy.
+func (Standard) Drive(e *node.Episode) bitstream.Level {
+	return e.Drive(e.Mode == node.EpisodeFlag)
 }
 
-type stdMode uint8
-
-const (
-	stdQuiet stdMode = iota // monitoring the EOF field
-	stdFlag                 // sending a 6-bit flag (error or overload)
-)
-
-type stdEpisode struct {
-	eofBits  int
-	env      node.EpisodeEnv
-	pos      int // 1-based position of the bit about to be latched, relative to EOF start
-	mode     stdMode
-	flagLeft int
-	overload bool
-	status   node.EpisodeStatus
-}
-
-func (e *stdEpisode) Drive() bitstream.Level {
-	if e.mode == stdFlag && !e.env.ErrorPassive {
-		return bitstream.Dominant
-	}
-	return bitstream.Recessive
-}
-
-func (e *stdEpisode) Phase() (bus.Phase, int) {
+// Phase implements node.EOFPolicy.
+func (Standard) Phase(e *node.Episode) bus.Phase {
 	switch {
-	case e.mode == stdFlag && e.overload:
-		return bus.PhaseOverloadFlag, e.pos
-	case e.mode == stdFlag:
-		return bus.PhaseErrorFlag, e.pos
+	case e.Mode != node.EpisodeFlag:
+		return bus.PhaseEOF
+	case e.Status.Kind == node.ErrOverload:
+		return bus.PhaseOverloadFlag
 	default:
-		return bus.PhaseEOF, e.pos
+		return bus.PhaseErrorFlag
 	}
 }
 
-func (e *stdEpisode) Latch(level bitstream.Level) node.EpisodeStatus {
-	defer func() { e.pos++ }()
-	switch e.mode {
-	case stdQuiet:
-		if level == bitstream.Dominant {
-			e.mode = stdFlag
-			e.flagLeft = flagBits
-			if e.pos < e.eofBits || e.env.Transmitter {
-				// An error before the last EOF bit — or anywhere in the EOF
-				// for the transmitter — invalidates the frame.
-				kind := node.ErrForm
-				if e.env.Transmitter {
-					kind = node.ErrBit
-				}
-				e.status = node.EpisodeStatus{
-					Verdict:   node.VerdictReject,
-					After:     node.AfterErrorDelim,
-					Signalled: true,
-					Kind:      kind,
-				}
-			} else {
-				// The last-bit rule: the receiver accepts the frame and
-				// signals an overload condition instead of an error.
-				e.overload = true
-				e.status = node.EpisodeStatus{
-					Verdict:   node.VerdictAccept,
-					After:     node.AfterOverloadDelim,
-					Signalled: true,
-					Kind:      node.ErrOverload,
-				}
-			}
-			return node.EpisodeStatus{}
+// Latch implements node.EOFPolicy.
+func (Standard) Latch(e *node.Episode, level bitstream.Level, transmitter bool) node.EpisodeStatus {
+	switch {
+	case e.Mode == node.EpisodeFlag:
+		if e.CountFlag() {
+			return e.Finish()
 		}
-		if e.pos >= e.eofBits {
-			return node.EpisodeStatus{Done: true, Verdict: node.VerdictAccept, After: node.AfterNone}
-		}
-		return node.EpisodeStatus{}
-	default: // stdFlag
-		e.flagLeft--
-		if e.flagLeft <= 0 {
-			st := e.status
-			st.Done = true
-			return st
-		}
-		return node.EpisodeStatus{}
+	case level == bitstream.Recessive:
+		return e.CleanEnd(frame.StandardEOFBits)
+	case e.Pos < frame.StandardEOFBits || transmitter:
+		// An error before the last EOF bit — or anywhere in the EOF for
+		// the transmitter — invalidates the frame.
+		e.Reject(e.Detected(transmitter))
+	default:
+		// The last-bit rule: the receiver accepts the frame and signals
+		// an overload condition instead of an error.
+		e.StartFlag(node.EpisodeFlag, node.EpisodeStatus{
+			Verdict:   node.VerdictAccept,
+			After:     node.AfterOverloadDelim,
+			Signalled: true,
+			Kind:      node.ErrOverload,
+		})
 	}
+	return node.EpisodeStatus{}
 }

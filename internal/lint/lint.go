@@ -123,7 +123,9 @@ func InScope(path string) bool {
 // HotPathRoots names the per-bit-slot entry points, as
 // "pkgpath.Func" or "pkgpath.Receiver.Method". Everything statically
 // reachable from these inside their own package is the hot path: it runs
-// once (or more) per simulated bit and must stay allocation-free.
+// once (or more) per simulated bit and must stay allocation-free. Every
+// name must resolve to a declaration (TestHotPathRootsResolve): a stale
+// one would silently drop its function from the check.
 var HotPathRoots = []string{
 	"repro/internal/bus.Network.Step",
 	"repro/internal/node.Controller.Drive",
@@ -136,15 +138,25 @@ var HotPathRoots = []string{
 	"repro/internal/frame.Assembler.Push",
 	"repro/internal/errmodel.Random.Disturb",
 	"repro/internal/errmodel.GlobalRandom.Disturb",
-	"repro/internal/core.stdEpisode.Drive",
-	"repro/internal/core.stdEpisode.Latch",
-	"repro/internal/core.stdEpisode.Phase",
-	"repro/internal/core.minorEpisode.Drive",
-	"repro/internal/core.minorEpisode.Latch",
-	"repro/internal/core.minorEpisode.Phase",
-	"repro/internal/core.majorEpisode.Drive",
-	"repro/internal/core.majorEpisode.Latch",
-	"repro/internal/core.majorEpisode.Phase",
+	// The end-of-frame episode: each policy's step functions, and the
+	// steps they share as methods of node.Episode (called from core, so
+	// not reachable from the controller's roots inside node).
+	"repro/internal/core.Standard.Drive",
+	"repro/internal/core.Standard.Latch",
+	"repro/internal/core.Standard.Phase",
+	"repro/internal/core.MinorCAN.Drive",
+	"repro/internal/core.MinorCAN.Latch",
+	"repro/internal/core.MinorCAN.Phase",
+	"repro/internal/core.MajorCAN.Drive",
+	"repro/internal/core.MajorCAN.Latch",
+	"repro/internal/core.MajorCAN.Phase",
+	"repro/internal/node.Episode.StartFlag",
+	"repro/internal/node.Episode.Reject",
+	"repro/internal/node.Episode.CountFlag",
+	"repro/internal/node.Episode.Drive",
+	"repro/internal/node.Episode.Detected",
+	"repro/internal/node.Episode.CleanEnd",
+	"repro/internal/node.Episode.Finish",
 	// The fast bit-slot engine: Advance is the per-slot entry the bus
 	// delegates to, and the node/bus seams below are what it calls per
 	// slot or per fast-forward window. They are roots of their own

@@ -45,6 +45,34 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
+// TestHotPathRootsResolve requires every lint.HotPathRoots name to
+// resolve, through the call graph the analyzers build, to a function
+// declared in the module. CallGraph.Roots skips a name that matches
+// nothing, so a root left behind by a rename would silently drop its
+// function, and everything only it reaches, from the hot-path check.
+func TestHotPathRootsResolve(t *testing.T) {
+	root, err := lint.ModuleRoot(".")
+	if err != nil {
+		t.Fatalf("module root: %v", err)
+	}
+	pkgs, err := lint.LoadPackages(root, "./...")
+	if err != nil {
+		t.Fatalf("loading packages: %v", err)
+	}
+	resolved := make(map[string]bool)
+	for _, pkg := range pkgs {
+		g := lint.NewCallGraph(&lint.Pass{Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info})
+		for _, fn := range g.Roots(lint.HotPathRoots) {
+			resolved[lint.FuncQualifiedName(fn)] = true
+		}
+	}
+	for _, name := range lint.HotPathRoots {
+		if !resolved[name] {
+			t.Errorf("hot-path root %s matches no declaration", name)
+		}
+	}
+}
+
 // TestMultichecker runs the installed driver end to end, pinning its
 // exit status and the flag plumbing on a clean tree.
 func TestMultichecker(t *testing.T) {

@@ -37,16 +37,11 @@ func (c *Controller) StartingFrame() bool {
 func (c *Controller) Attempts() int { return c.attempts }
 
 // EOFRel returns the 1-based EOF-relative position of the bit the
-// controller is about to sample, or 0 outside the end-of-frame region —
-// the same value View().EOFRel carries, without building the full view.
-// Disturbance gating (errmodel.EOFOnly) keys on it.
-func (c *Controller) EOFRel() int {
-	if c.state != stEpisode {
-		return 0
-	}
-	_, pos := c.episode.Phase()
-	return pos
-}
+// controller is about to sample, or 0 outside the end-of-frame region,
+// where the episode is zero — the same value View().EOFRel carries,
+// without building the full view. Disturbance gating (errmodel.EOFOnly)
+// keys on it.
+func (c *Controller) EOFRel() int { return c.episode.Pos }
 
 // TxWindow returns the remaining pre-stuffed levels this transmitter
 // will drive before the ACK slot, aliasing the cached encoding (callers

@@ -11,18 +11,14 @@ import (
 // stubPolicy satisfies EOFPolicy for tests that never reach the episode.
 type stubPolicy struct{}
 
-func (stubPolicy) Name() string                     { return "stub" }
-func (stubPolicy) EOFBits() int                     { return 7 }
-func (stubPolicy) DelimiterBits() int               { return 8 }
-func (stubPolicy) NewEpisode(EpisodeEnv) EOFEpisode { return stubEpisode{} }
-
-type stubEpisode struct{}
-
-func (stubEpisode) Drive() bitstream.Level { return bitstream.Recessive }
-func (stubEpisode) Latch(bitstream.Level) EpisodeStatus {
+func (stubPolicy) Name() string                   { return "stub" }
+func (stubPolicy) EOFBits() int                   { return 7 }
+func (stubPolicy) DelimiterBits() int             { return 8 }
+func (stubPolicy) Drive(*Episode) bitstream.Level { return bitstream.Recessive }
+func (stubPolicy) Phase(*Episode) bus.Phase       { return bus.PhaseEOF }
+func (stubPolicy) Latch(*Episode, bitstream.Level, bool) EpisodeStatus {
 	return EpisodeStatus{Done: true, Verdict: VerdictAccept, After: AfterNone}
 }
-func (stubEpisode) Phase() (bus.Phase, int) { return bus.PhaseEOF, 1 }
 
 func TestTxQueueOrdering(t *testing.T) {
 	var q txQueue

@@ -1,26 +1,17 @@
 package node
 
-import (
-	"fmt"
+import "repro/internal/bitstream"
 
-	"repro/internal/bitstream"
-)
-
-// InEpisode reports whether the controller holds an end-of-frame
-// episode, the one part of its state Snapshot and AppendKey cannot
-// capture.
-func (c *Controller) InEpisode() bool { return c.episode != nil }
+// InEpisode reports whether the controller is inside an end-of-frame
+// episode.
+func (c *Controller) InEpisode() bool { return c.state == stEpisode }
 
 // AppendKey appends the controller's protocol state — every field
 // Snapshot captures — to a state key (see bitstream.AppendKeyBool), so
 // that two controllers of the same configuration have equal keys exactly
 // when they behave identically from here on. Queued frames and the
-// transmit encoding are keyed by content. Like Snapshot it must be called
-// outside an end-of-frame episode and panics inside one.
+// transmit encoding are keyed by content.
 func (c *Controller) AppendKey(b []byte) []byte {
-	if c.episode != nil {
-		panic(fmt.Sprintf("node %s: state key inside an end-of-frame episode", c.name))
-	}
 	m := &c.machine
 	b = append(b, byte(m.state))
 	b = bitstream.AppendKeyUint(b, m.now)
@@ -37,9 +28,7 @@ func (c *Controller) AppendKey(b []byte) []byte {
 	b = m.destuff.AppendKey(b)
 	b = m.asm.AppendKey(b)
 	b = bitstream.AppendKeyInt(b, int64(m.rxTail))
-	b = bitstream.AppendKeyUint(b, m.episodeStart)
-	b = bitstream.AppendKeyBool(b, m.rejectAtStart)
-	b = append(b, byte(m.rejectKind))
+	b = m.episode.appendKey(b)
 	b = bitstream.AppendKeyInt(b, int64(m.flagLeft))
 	b = append(b, byte(m.flagVerdict), byte(m.delimAfter))
 	b = bitstream.AppendKeyBool(b, m.delimSeen)
@@ -60,4 +49,24 @@ func (c *Controller) AppendKey(b []byte) []byte {
 	}
 	b = bitstream.AppendKeyInt(b, int64(m.recovRun))
 	return bitstream.AppendKeyInt(b, int64(m.recovSeq))
+}
+
+// appendKey appends every field of the episode to a state key.
+func (e *Episode) appendKey(b []byte) []byte {
+	b = bitstream.AppendKeyUint(b, e.Start)
+	b = bitstream.AppendKeyBool(b, e.RejectAtStart)
+	b = append(b, byte(e.RejectKind))
+	b = bitstream.AppendKeyBool(b, e.Passive)
+	b = bitstream.AppendKeyInt(b, int64(e.Pos))
+	b = append(b, e.Mode)
+	b = bitstream.AppendKeyInt(b, int64(e.FlagLeft))
+	b = bitstream.AppendKeyInt(b, int64(e.Votes))
+	st := &e.Status
+	b = bitstream.AppendKeyBool(b, st.Done)
+	b = append(b, byte(st.Verdict), byte(st.After))
+	b = bitstream.AppendKeyInt(b, int64(st.DelimCredit))
+	b = bitstream.AppendKeyBool(b, st.Signalled)
+	b = append(b, byte(st.Kind))
+	b = bitstream.AppendKeyBool(b, st.VoteCorrected)
+	return bitstream.AppendKeyInt(b, int64(st.Votes))
 }

@@ -33,7 +33,6 @@ func (c *Controller) beginFrame(tx bool) {
 	c.destuff.Reset()
 	c.asm.Reset()
 	c.rxTail = 0
-	c.rejectAtStart = false
 	c.overloads = 0
 	c.attempts++
 	if tx {
@@ -140,27 +139,26 @@ func (c *Controller) latchFrame(level bitstream.Level) {
 
 func (c *Controller) enterEpisode(reject bool, kind ErrorKind) {
 	c.state = stEpisode
-	c.rejectAtStart = reject
-	c.rejectKind = kind
 	// The ACK delimiter is being latched at c.now; the episode's first
-	// bit is the next slot. Recorded for the KindEOFVote span emitted at
-	// episode completion.
-	c.episodeStart = c.now + 1
-	c.episode = c.policy.NewEpisode(EpisodeEnv{
-		Transmitter:   c.transmitter,
+	// bit is the next slot.
+	c.episode = Episode{
+		Start:         c.now + 1,
 		RejectAtStart: reject,
 		RejectKind:    kind,
-		ErrorPassive:  c.mode == ErrorPassive,
-	})
+		Passive:       c.mode == ErrorPassive,
+	}
+	c.episode.Open()
 }
 
 func (c *Controller) latchEpisode(level bitstream.Level) {
-	st := c.episode.Latch(level)
+	st := c.policy.Latch(&c.episode, level, c.transmitter)
 	if !st.Done {
+		c.episode.Pos++
 		return
 	}
-	c.episode = nil
-	if st.Signalled && !c.rejectAtStart {
+	ep := c.episode
+	c.episode = Episode{}
+	if st.Signalled && !ep.RejectAtStart {
 		// A RejectAtStart error was already recorded when it was detected.
 		c.recordError(st.Kind)
 	}
@@ -168,7 +166,7 @@ func (c *Controller) latchEpisode(level bitstream.Level) {
 		// MajorCAN's majority vote overturned the signalled error.
 		c.emit(obs.KindEOFVoteCorrected, c.transmitter, uint8(st.Kind), uint32(st.Votes))
 	}
-	c.emitEOFVote(st)
+	c.emitEOFVote(st, &ep)
 	if h := c.opts.Hooks.OnVerdict; h != nil {
 		h(c.now, st.Verdict, c.transmitter)
 	}
@@ -184,13 +182,14 @@ func (c *Controller) latchEpisode(level bitstream.Level) {
 			if h := c.opts.Hooks.OnTxSuccess; h != nil {
 				h(c.now, f)
 			}
-		} else if !c.rejectAtStart {
-			f := c.asm.Frame()
+		} else if !ep.RejectAtStart {
 			c.delivered++
 			c.creditSuccess(false)
 			c.emit(obs.KindFrameAccepted, false, 0, 0)
 			if h := c.opts.Hooks.OnDeliver; h != nil {
-				h(c.now, f)
+				// Only the hook reads the delivered frame, so it is built
+				// only for one.
+				h(c.now, c.asm.Frame())
 			}
 		}
 	case VerdictReject:
@@ -226,13 +225,13 @@ func (c *Controller) latchEpisode(level bitstream.Level) {
 // can render per-station vote-round spans. Slot is the episode's final
 // bit, Aux its length in slots; Cause carries the error kind that drove
 // the episode (0 for a clean frame) and FlagRejected a reject verdict.
-func (c *Controller) emitEOFVote(st EpisodeStatus) {
+func (c *Controller) emitEOFVote(st EpisodeStatus, ep *Episode) {
 	if c.ev == nil {
 		return
 	}
 	cause := uint8(st.Kind)
-	if cause == 0 && c.rejectAtStart {
-		cause = uint8(c.rejectKind)
+	if cause == 0 && ep.RejectAtStart {
+		cause = uint8(ep.RejectKind)
 	}
 	e := obs.Event{
 		Slot:    c.now,
@@ -240,7 +239,7 @@ func (c *Controller) emitEOFVote(st EpisodeStatus) {
 		Station: c.station,
 		Cause:   cause,
 		Attempt: uint16(c.attempts),
-		Aux:     uint32(c.now - c.episodeStart + 1),
+		Aux:     uint32(c.now - ep.Start + 1),
 	}
 	if c.transmitter {
 		e.Flags |= obs.FlagTransmitter

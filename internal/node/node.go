@@ -140,10 +140,7 @@ type machine struct {
 	rxTail  int // tail bits latched after the assembler finished (CRCdel, ACK, ACKdel)
 
 	// end of frame
-	episode       EOFEpisode
-	episodeStart  uint64 // slot of the first EOF bit
-	rejectAtStart bool
-	rejectKind    ErrorKind
+	episode Episode
 
 	// error/overload signalling
 	flagLeft     int
@@ -250,11 +247,10 @@ func (c *Controller) Crash() {
 }
 
 // disconnect stops the controller driving the bus. An end-of-frame
-// episode it held is dropped: a disconnected controller never resumes it,
-// and without it the controller can be snapshotted again.
+// episode it held is dropped: a disconnected controller never resumes it.
 func (c *Controller) disconnect() {
 	c.state = stOff
-	c.episode = nil
+	c.episode = Episode{}
 }
 
 // Crashed reports whether the node was crashed by fault injection.
@@ -301,14 +297,8 @@ func (c *Controller) ErrorCount(kind ErrorKind) uint64 {
 type State struct{ m machine }
 
 // Snapshot captures the controller's protocol state: queue, counters,
-// clock, receive pipeline and signalling position. It must be taken
-// outside an end-of-frame episode, whose state machine belongs to the
-// policy and is not copied; a snapshot inside one is a programming error
-// and panics.
+// clock, receive pipeline, end-of-frame episode and signalling position.
 func (c *Controller) Snapshot() State {
-	if c.episode != nil {
-		panic(fmt.Sprintf("node %s: snapshot inside an end-of-frame episode", c.name))
-	}
 	s := State{m: c.machine}
 	s.m.queue.frames = append([]*frame.Frame(nil), c.queue.frames...)
 	return s
@@ -408,7 +398,7 @@ func (c *Controller) Drive() bitstream.Level {
 		}
 		return bitstream.Recessive
 	case stEpisode:
-		return c.episode.Drive()
+		return c.policy.Drive(&c.episode)
 	case stErrorFlag, stOverloadFlag:
 		return bitstream.Dominant
 	default:
@@ -444,10 +434,9 @@ func (c *Controller) View() bus.ViewContext {
 			}
 		}
 	case stEpisode:
-		phase, pos := c.episode.Phase()
-		v.Phase, v.EOFRel = phase, pos
-		if phase == bus.PhaseEOF {
-			v.Field, v.Index = frame.FieldEOF, pos-1
+		v.Phase, v.EOFRel = c.policy.Phase(&c.episode), c.episode.Pos
+		if v.Phase == bus.PhaseEOF {
+			v.Field, v.Index = frame.FieldEOF, v.EOFRel-1
 		}
 	case stErrorFlag:
 		v.Phase = bus.PhaseErrorFlag

@@ -440,3 +440,24 @@ func TestErrorKindStrings(t *testing.T) {
 		}
 	}
 }
+
+// A controller that disconnects inside an end-of-frame episode drops it:
+// outside an episode the episode value is zero, which EOFRel relies on
+// to read 0 there.
+func TestDisconnectInsideEpisodeDropsIt(t *testing.T) {
+	for _, disconnect := range []func(*node.Controller){(*node.Controller).Crash, (*node.Controller).ForceBusOff} {
+		c := sim.MustCluster(sim.ClusterOptions{Nodes: 2, Policy: core.MustMajorCAN(5)})
+		if err := c.Nodes[0].Enqueue(&frame.Frame{ID: 0x123, Data: []byte{0xCA, 0xFE}}); err != nil {
+			t.Fatal(err)
+		}
+		rx := c.Nodes[1]
+		if !c.Net.RunUntil(func() bool { return rx.EOFRel() == 3 }, 2000) {
+			t.Fatal("the receiver never reached EOF bit 3")
+		}
+		disconnect(rx)
+		if rx.InEpisode() || rx.EOFRel() != 0 || rx.View().EOFRel != 0 {
+			t.Errorf("disconnected inside an episode: in episode %v, EOFRel %d, view EOFRel %d, want false, 0, 0",
+				rx.InEpisode(), rx.EOFRel(), rx.View().EOFRel)
+		}
+	}
+}

@@ -94,7 +94,7 @@ const (
 	AfterOverloadDelim
 )
 
-// EpisodeStatus is returned by EOFEpisode.Latch.
+// EpisodeStatus is returned by EOFPolicy.Latch.
 type EpisodeStatus struct {
 	// Done reports that the episode is complete; the remaining fields are
 	// only meaningful when Done is true.
@@ -119,47 +119,129 @@ type EpisodeStatus struct {
 	Votes         int
 }
 
-// EpisodeEnv describes the node's situation at the start of the
-// end-of-frame region.
-type EpisodeEnv struct {
-	// Transmitter reports whether this node transmitted the frame.
-	Transmitter bool
+// Episode is the state of one end-of-frame episode: the EOF field plus
+// any error/overload flags, acceptance sampling and flag extensions
+// mandated by the protocol variant. It starts at the first EOF bit and
+// ends when the controller should run a delimiter (or go straight to
+// intermission). It is a plain value inside the controller's state, so
+// Snapshot, Restore and AppendKey capture it at every slot; the policy's
+// Drive, Phase and Latch step it, and the methods below are the steps
+// every policy shares. Outside an episode it is zero.
+type Episode struct {
+	// Start is the slot of the first EOF bit.
+	Start uint64
 	// RejectAtStart forces an error flag from the first EOF bit on: the
 	// node detected a CRC error (or an ACK/form error at the very end of
 	// the frame body) and must never accept the frame.
 	RejectAtStart bool
 	// RejectKind is the error kind behind RejectAtStart.
 	RejectKind ErrorKind
-	// ErrorPassive makes every flag the episode sends passive (recessive):
-	// the node's error signalling cannot influence the rest of the bus,
-	// reproducing the Section 1 impairment. The verdict logic is
-	// unchanged.
-	ErrorPassive bool
+	// Passive makes every flag the episode sends passive (recessive): the
+	// node was error-passive at the first EOF bit, so its error signalling
+	// cannot influence the rest of the bus, reproducing the Section 1
+	// impairment. The verdict logic is unchanged.
+	Passive bool
+
+	// Pos is the 1-based position of the bit about to be latched,
+	// relative to the first EOF bit.
+	Pos int
+	// Mode is the policy's step mode: EpisodeQuiet and EpisodeFlag are
+	// shared, a policy numbers its own modes after EpisodeFlag.
+	Mode uint8
+	// FlagLeft counts down the bits of a 6-bit flag.
+	FlagLeft int
+	// Votes counts the dominant samples of an acceptance vote.
+	Votes int
+	// Status is the outcome decided so far, returned when the episode
+	// completes.
+	Status EpisodeStatus
 }
 
-// EOFEpisode is the per-frame state machine covering the end-of-frame
-// region: the EOF field plus any error/overload flags, acceptance sampling
-// and flag extensions mandated by the protocol variant. It starts at the
-// first EOF bit and ends when the controller should run a delimiter (or go
-// straight to intermission).
-type EOFEpisode interface {
-	// Drive returns the level to put on the bus for the bit about to be
-	// latched.
-	Drive() bitstream.Level
-	// Latch processes the node's sample of that bit.
-	Latch(level bitstream.Level) EpisodeStatus
-	// Phase describes the episode position: the protocol phase and the
-	// 1-based bit position relative to the first EOF bit.
-	Phase() (bus.Phase, int)
+// The step modes every policy shares.
+const (
+	// EpisodeQuiet monitors the EOF field.
+	EpisodeQuiet uint8 = iota
+	// EpisodeFlag sends a 6-bit flag.
+	EpisodeFlag
+)
+
+// Open starts the episode at its first EOF bit: a reject-at-start
+// episode opens with its error flag.
+func (e *Episode) Open() {
+	e.Pos = 1
+	if e.RejectAtStart {
+		e.Reject(e.RejectKind)
+	}
+}
+
+// StartFlag starts a 6-bit flag in the given mode, with st as the
+// outcome decided so far.
+func (e *Episode) StartFlag(mode uint8, st EpisodeStatus) {
+	e.Mode = mode
+	e.FlagLeft = flagBits
+	e.Status = st
+}
+
+// Reject starts an error flag that rejects the frame.
+func (e *Episode) Reject(kind ErrorKind) {
+	e.StartFlag(EpisodeFlag, EpisodeStatus{
+		Verdict:   VerdictReject,
+		After:     AfterErrorDelim,
+		Signalled: true,
+		Kind:      kind,
+	})
+}
+
+// CountFlag latches one bit of the flag and reports whether it was the
+// last.
+func (e *Episode) CountFlag() bool {
+	e.FlagLeft--
+	return e.FlagLeft <= 0
+}
+
+// Drive returns the level of a bit the policy flags (dominant, or
+// recessive for a passive node) or does not flag (recessive).
+func (e *Episode) Drive(flagging bool) bitstream.Level {
+	if flagging && !e.Passive {
+		return bitstream.Dominant
+	}
+	return bitstream.Recessive
+}
+
+// Detected returns the kind of an error detected in the EOF field: a bit
+// error for the transmitter, a form error for a receiver.
+func (e *Episode) Detected(transmitter bool) ErrorKind {
+	if transmitter {
+		return ErrBit
+	}
+	return ErrForm
+}
+
+// CleanEnd returns the status after a recessive bit in the quiet mode:
+// the frame is accepted at the last EOF bit, pending before it.
+func (e *Episode) CleanEnd(eofBits int) EpisodeStatus {
+	if e.Pos >= eofBits {
+		return EpisodeStatus{Done: true, Verdict: VerdictAccept, After: AfterNone}
+	}
+	return EpisodeStatus{}
+}
+
+// Finish returns the outcome decided so far as the episode's final
+// status.
+func (e *Episode) Finish() EpisodeStatus {
+	st := e.Status
+	st.Done = true
+	return st
 }
 
 // EOFPolicy is a protocol variant: it fixes the frame's EOF length, the
-// delimiter length and the end-of-frame decision logic. Implementations:
+// delimiter length and the end-of-frame decision logic, as step
+// functions over the controller's Episode. Implementations:
 // core.Standard, core.MinorCAN, core.MajorCAN.
 //
 // Error-passive nodes send passive (recessive) flags in the end-of-frame
-// region too (EpisodeEnv.ErrorPassive), reproducing the Section 1
-// impairment; the paper's protocols assume that state is avoided, which
+// region too (Episode.Passive), reproducing the Section 1 impairment; the
+// paper's protocols assume that state is avoided, which
 // Options.WarningSwitchOff enforces.
 type EOFPolicy interface {
 	// Name identifies the variant ("CAN", "MinorCAN", "MajorCAN_5", ...).
@@ -171,6 +253,13 @@ type EOFPolicy interface {
 	// delimiters including the first recessive bit (8 in standard CAN,
 	// 2m+1 in MajorCAN_m).
 	DelimiterBits() int
-	// NewEpisode creates the end-of-frame state machine for one frame.
-	NewEpisode(env EpisodeEnv) EOFEpisode
+	// Drive returns the level to put on the bus for the bit about to be
+	// latched.
+	Drive(e *Episode) bitstream.Level
+	// Phase returns the protocol phase of the bit about to be latched.
+	Phase(e *Episode) bus.Phase
+	// Latch processes the node's sample of that bit; the caller then
+	// advances e.Pos. transmitter reports whether the node transmitted
+	// the frame.
+	Latch(e *Episode, level bitstream.Level, transmitter bool) EpisodeStatus
 }

@@ -41,7 +41,7 @@ func RunFrame(policy node.EOFPolicy, stations int, f *frame.Frame, rules []*errm
 //
 // A run from the prefix whose rules are all first-attempt AtEOFBit rules
 // also memoizes the rest of the run from its settle point, the first slot
-// after the prefix at which no station holds an end-of-frame episode.
+// after the prefix at which no station is inside an end-of-frame episode.
 // Every station enters its first-attempt episode in the slot after the
 // prefix, so at the settle point every rule is dead and the rest of the
 // run is a pure function of the joint state: every controller's protocol
@@ -192,10 +192,9 @@ func firstAttemptEOF(rules []*errmodel.Rule) bool {
 // runMemo is RunUntilQuiet(budget) for a memoizable run: it simulates to
 // the settle point, then either replays a memoized suffix or simulates
 // the suffix and memoizes it. A run that exhausts its budget is never
-// memoized. A quiet cluster has always settled — an idle controller holds
-// no episode and a disconnected one drops its own — so stopping at the
-// settle point never runs past the slot at which RunUntilQuiet would
-// stop.
+// memoized. A quiet cluster has always settled — no controller of it is
+// inside an episode — so stopping at the settle point never runs past
+// the slot at which RunUntilQuiet would stop.
 func (r *FrameRunner) runMemo(crash, budget int) bool {
 	c := r.cluster
 	start := c.Net.Slot()
@@ -227,9 +226,6 @@ func (r *FrameRunner) runMemo(crash, budget int) bool {
 	if !c.RunUntilQuiet(budget) {
 		return false
 	}
-	if c.holdsEpisode() {
-		return true
-	}
 	e := &suffix{
 		end:        c.snapshot(),
 		deliveries: make([][]Delivery, n),
@@ -247,8 +243,7 @@ func (r *FrameRunner) runMemo(crash, budget int) bool {
 
 // appendKey appends the memo key of the cluster's current state: the
 // network clock, every controller's protocol state, the crash probe's
-// station and whether it fired, and the remaining slot budget. Callers
-// ensure no controller holds an end-of-frame episode.
+// station and whether it fired, and the remaining slot budget.
 func (r *FrameRunner) appendKey(b []byte, crash, budget int) []byte {
 	c := r.cluster
 	b = c.Net.Snapshot().AppendKey(b)
@@ -261,7 +256,7 @@ func (r *FrameRunner) appendKey(b []byte, crash, budget int) []byte {
 }
 
 // clusterState is a cluster snapshot: the network's clock and every
-// controller's protocol state, taken outside any end-of-frame episode.
+// controller's protocol state.
 type clusterState struct {
 	net   bus.State
 	nodes []node.State
@@ -296,8 +291,8 @@ func (c *Cluster) restoreState(s *clusterState) {
 	}
 }
 
-// holdsEpisode reports whether any controller holds an end-of-frame
-// episode, which a snapshot cannot capture.
+// holdsEpisode reports whether any controller is inside an end-of-frame
+// episode.
 func (c *Cluster) holdsEpisode() bool {
 	for _, n := range c.Nodes {
 		if n.InEpisode() {

@@ -224,3 +224,92 @@ func (p *slotProbe) OnBit(slot uint64, _ bitstream.Level, _, _ []bitstream.Level
 	}
 	p.n++
 }
+
+// A snapshot taken at any slot inside an end-of-frame episode restores
+// into a second cluster that, given a fresh script of the same rules,
+// finishes the run exactly as the literal reference loop does: the
+// verdicts, tx results and deliveries recorded after that slot, whether
+// the bus went quiet, the final slot and every controller's whole
+// protocol state. A fresh script is equivalent because an AtEOFBit rule
+// can fire only at its own EOF position, which no station passes twice
+// in one attempt. Every one- and two-flip pattern of CAN, MinorCAN and
+// MajorCAN_3 on four stations, at every slot at which some station is
+// inside its episode.
+func TestMidEpisodeSnapshotMatchesReference(t *testing.T) {
+	const stations, budget = 4, 6000
+	for _, policy := range []node.EOFPolicy{core.NewStandard(), core.NewMinorCAN(), core.MustMajorCAN(3)} {
+		second, err := NewCluster(ClusterOptions{Nodes: stations, Policy: policy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sites := memoSites(policy, stations)
+		snapshots := 0
+		for a := range sites {
+			for b := a; b < len(sites); b++ {
+				pattern := [][2]int{sites[a]}
+				if b > a {
+					pattern = append(pattern, sites[b])
+				}
+				ref, err := NewCluster(ClusterOptions{Nodes: stations, Policy: policy, Engine: EngineReference})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref.Net.AddDisturber(errmodel.NewScript(eofRules(pattern)...))
+				if err := ref.Nodes[0].Enqueue(runnerFrame); err != nil {
+					t.Fatal(err)
+				}
+				// The reference run, RunUntilQuiet slot by slot, snapshotting
+				// every slot inside an episode with each station's record
+				// counts at that point.
+				type mark struct {
+					state   clusterState
+					records [][3]int
+				}
+				var marks []mark
+				for i := 0; i < budget && !ref.Quiet(); i++ {
+					if ref.holdsEpisode() {
+						m := mark{state: ref.snapshot()}
+						for s := range ref.Nodes {
+							m.records = append(m.records, [3]int{len(ref.Deliveries[s]), len(ref.TxResults[s]), len(ref.Verdicts[s])})
+						}
+						marks = append(marks, m)
+					}
+					ref.Net.Step()
+				}
+				refQuiet := ref.Quiet()
+				ref.Net.Run(4)
+				if len(marks) == 0 {
+					t.Fatalf("%s %v: no slot inside an episode", policy.Name(), pattern)
+				}
+				for _, m := range marks {
+					slot := m.state.net.Slot()
+					second.restore(&m.state)
+					second.Net.AddDisturber(errmodel.NewScript(eofRules(pattern)...))
+					quiet := second.RunUntilQuiet(budget - int(slot))
+					where := fmt.Sprintf("%s %v from slot %d", policy.Name(), pattern, slot)
+					if quiet != refQuiet {
+						t.Fatalf("%s: quiet %v, reference %v", where, quiet, refQuiet)
+					}
+					if g, w := second.Net.Slot(), ref.Net.Slot(); g != w {
+						t.Fatalf("%s: final slot %d, reference %d", where, g, w)
+					}
+					for s, r := range m.records {
+						switch {
+						case !sameRecords(second.Deliveries[s], ref.Deliveries[s][r[0]:]):
+							t.Fatalf("%s: station %d deliveries %v, reference %v", where, s, second.Deliveries[s], ref.Deliveries[s][r[0]:])
+						case !sameRecords(second.TxResults[s], ref.TxResults[s][r[1]:]):
+							t.Fatalf("%s: station %d tx results %v, reference %v", where, s, second.TxResults[s], ref.TxResults[s][r[1]:])
+						case !sameRecords(second.Verdicts[s], ref.Verdicts[s][r[2]:]):
+							t.Fatalf("%s: station %d verdicts %v, reference %v", where, s, second.Verdicts[s], ref.Verdicts[s][r[2]:])
+						}
+					}
+					if d := diffStates(second, ref); d != "" {
+						t.Fatalf("%s: %s", where, d)
+					}
+					snapshots++
+				}
+			}
+		}
+		t.Logf("%s: %d mid-episode snapshots finish as the reference run", policy.Name(), snapshots)
+	}
+}
