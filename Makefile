@@ -7,13 +7,15 @@ all: build lint test
 build:
 	$(GO) build ./...
 
-# Static analysis: go vet plus the majorcanlint multichecker — all eight
-# analyzers: the determinism, hot-path, telemetry and atomics contracts
-# (DESIGN.md §9) and the concurrency-safety suite — lockorder, ctxflow,
+# Static analysis: gofmt (the tree must be formatted), go vet and the
+# majorcanlint multichecker — all eight analyzers: the determinism,
+# hot-path, telemetry and atomics contracts (DESIGN.md §9) and the
+# concurrency-safety suite — lockorder, ctxflow,
 # goleak, errsink (DESIGN.md §13). The tree must stay at zero findings;
 # intentional exceptions carry `//lint:allow <analyzer> -- <reason>`
 # annotations, each with a reviewable reason.
 lint:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) run ./cmd/majorcanlint ./...
 
@@ -53,12 +55,13 @@ CRASH_POINTS ?= 20
 crashsmoke:
 	CRASH_POINTS=$(CRASH_POINTS) $(GO) test ./internal/serve/ -run TestKillAndRecover -count=1 -v -timeout 20m
 
-# Regenerate every table and figure of the paper.
+# Regenerate every table and figure of the paper: the cmd/paper
+# subcommands, then the Monte Carlo measurement of CAN against MajorCAN_5.
 repro:
-	$(GO) run ./cmd/table1
-	$(GO) run ./cmd/scenarios -fig all -trace=false
-	$(GO) run ./cmd/overhead
-	$(GO) run ./cmd/tolerance
+	$(GO) run ./cmd/paper table1
+	$(GO) run ./cmd/paper scenarios -fig all -trace=false
+	$(GO) run ./cmd/paper overhead
+	$(GO) run ./cmd/paper tolerance
 	$(GO) run ./cmd/mcsim -policy can -frames 2500 -berstar 0.02 -seed 7
 	$(GO) run ./cmd/mcsim -policy majorcan_5 -frames 2500 -berstar 0.02 -seed 7
 
@@ -69,12 +72,12 @@ chaos:
 	$(GO) run ./cmd/chaos -replay findings/finding_000.json
 
 # Exhaustive verification of MajorCAN_5 over its complete design envelope
-# (all <=5-flip patterns; ~25.7M simulations, each restored from one
+# with `paper verify` (all <=5-flip patterns; ~25.7M simulations, each restored from one
 # pre-EOF snapshot per worker, with the rest of the run memoized on the
 # joint state once the EOF episodes settle; ~3.5 min on 2 vCPUs,
 # EXPERIMENTS.md).
 verify-envelope:
-	$(GO) run ./cmd/verify -policy majorcan_5 -k 5 -parallel 8
+	$(GO) run ./cmd/paper verify -policy majorcan_5 -k 5 -parallel 8
 
 # Non-test Go line counts: the whole tree (the figure CHANGES.md and
 # ROADMAP.md track) and the service package, the largest one.

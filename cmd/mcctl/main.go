@@ -278,7 +278,7 @@ func watchStats(ctx context.Context, client *serve.Client, interval time.Duratio
 		}
 		status := fmt.Sprintf(
 			"up %s | queue %d | jobs %d (+%d) done %d (+%d) failed %d | p50 %dms p99 %dms | cache %.1f%% | drops %d",
-			(time.Duration(st.UptimeSeconds)*time.Second).String(),
+			(time.Duration(st.UptimeSeconds) * time.Second).String(),
 			depth, st.Jobs.Submitted, dSub, st.Jobs.Executed, dExec, st.Jobs.Failed,
 			st.Latency.P50Ms, st.Latency.P99Ms, 100*st.Cache.HitRatio,
 			st.Events.DroppedEvents)

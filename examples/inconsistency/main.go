@@ -25,13 +25,9 @@ func main() {
 		}
 		fmt.Println("==", out.Name, "==")
 		fmt.Println(out.Summary())
-		if first, last, ok := out.Recorder.EOFWindow(0, 1); ok {
-			from := uint64(0)
-			if first > 6 {
-				from = first - 6
-			}
+		if tl := out.Timeline(); tl != "" {
 			fmt.Println()
-			fmt.Print(out.Recorder.Render(from, last+40))
+			fmt.Print(tl)
 		}
 		fmt.Println()
 	}

@@ -141,8 +141,7 @@ func (e *Engine) Advance(budget int) int {
 // replan rebuilds the execution plan from the network's current
 // configuration. Runs once per configuration change, not per slot.
 //
-//lint:allow hotpath -- plan (re)construction is cold: once per network
-// configuration change, never per bit slot.
+//lint:allow hotpath -- plan (re)construction is cold: once per network configuration change, never per bit slot.
 func (e *Engine) replan() {
 	e.version = e.net.Version()
 	e.emitter = e.net.Emitter()

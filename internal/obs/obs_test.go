@@ -462,18 +462,18 @@ func TestPromWriterEscapesLabels(t *testing.T) {
 
 func TestLintPromCatchesFormatErrors(t *testing.T) {
 	cases := map[string]string{
-		"sample without TYPE":   "mc_x 1\n",
-		"bad type":              "# TYPE mc_x histo\nmc_x 1\n",
-		"bad value":             "# TYPE mc_x gauge\nmc_x one\n",
-		"duplicate series":      "# TYPE mc_x gauge\nmc_x 1\nmc_x 2\n",
-		"duplicate TYPE":        "# TYPE mc_x gauge\n# TYPE mc_x gauge\nmc_x 1\n",
-		"bad label name":        "# TYPE mc_x gauge\nmc_x{9bad=\"v\"} 1\n",
-		"unquoted label value":  "# TYPE mc_x gauge\nmc_x{a=v} 1\n",
-		"bucket without le":     "# TYPE mc_h histogram\nmc_h_bucket 1\nmc_h_count 1\n",
-		"non-cumulative hist":   "# TYPE mc_h histogram\nmc_h_bucket{le=\"1\"} 5\nmc_h_bucket{le=\"+Inf\"} 3\nmc_h_count 3\n",
-		"missing +Inf bucket":   "# TYPE mc_h histogram\nmc_h_bucket{le=\"1\"} 1\nmc_h_count 1\n",
-		"count != +Inf bucket":  "# TYPE mc_h histogram\nmc_h_bucket{le=\"+Inf\"} 2\nmc_h_count 3\n",
-		"garbage line":          "# TYPE mc_x gauge\n{} mc_x 1\n",
+		"sample without TYPE":  "mc_x 1\n",
+		"bad type":             "# TYPE mc_x histo\nmc_x 1\n",
+		"bad value":            "# TYPE mc_x gauge\nmc_x one\n",
+		"duplicate series":     "# TYPE mc_x gauge\nmc_x 1\nmc_x 2\n",
+		"duplicate TYPE":       "# TYPE mc_x gauge\n# TYPE mc_x gauge\nmc_x 1\n",
+		"bad label name":       "# TYPE mc_x gauge\nmc_x{9bad=\"v\"} 1\n",
+		"unquoted label value": "# TYPE mc_x gauge\nmc_x{a=v} 1\n",
+		"bucket without le":    "# TYPE mc_h histogram\nmc_h_bucket 1\nmc_h_count 1\n",
+		"non-cumulative hist":  "# TYPE mc_h histogram\nmc_h_bucket{le=\"1\"} 5\nmc_h_bucket{le=\"+Inf\"} 3\nmc_h_count 3\n",
+		"missing +Inf bucket":  "# TYPE mc_h histogram\nmc_h_bucket{le=\"1\"} 1\nmc_h_count 1\n",
+		"count != +Inf bucket": "# TYPE mc_h histogram\nmc_h_bucket{le=\"+Inf\"} 2\nmc_h_count 3\n",
+		"garbage line":         "# TYPE mc_x gauge\n{} mc_x 1\n",
 	}
 	for name, in := range cases {
 		if err := LintProm(strings.NewReader(in)); err == nil {

@@ -144,8 +144,8 @@ var (
 func LintProm(r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	types := make(map[string]string)   // family -> type
-	seen := make(map[string]bool)      // full series (name + sorted labels)
+	types := make(map[string]string) // family -> type
+	seen := make(map[string]bool)    // full series (name + sorted labels)
 	lastCum := make(map[string]float64)
 	infBucket := make(map[string]float64)
 	counts := make(map[string]float64)

@@ -166,3 +166,18 @@ func (o *Outcome) Summary() string {
 	}
 	return b.String()
 }
+
+// Timeline renders every station's bits around the transmitter's first
+// end of frame, from 8 slots before it to 40 after, in the style of the
+// paper's figures. It is empty if the transmitter never reached one.
+func (o *Outcome) Timeline() string {
+	first, last, ok := o.Recorder.EOFWindow(0, 1)
+	if !ok {
+		return ""
+	}
+	from := uint64(0)
+	if first > 8 {
+		from = first - 8
+	}
+	return o.Recorder.Render(from, last+40)
+}

@@ -137,7 +137,7 @@ type SpecOutcome struct {
 }
 
 // RunSpec executes a verification spec: the entry point the simulation
-// service's scheduler and the verify CLI share. Parallelism bounds
+// service's scheduler and perfbench share. Parallelism bounds
 // concurrent simulations; cancelling ctx aborts the enumeration.
 func RunSpec(ctx context.Context, spec Spec, parallelism int) (*SpecOutcome, error) {
 	spec.Normalize()

@@ -46,20 +46,13 @@ type ScenarioResult struct {
 }
 
 func wrapOutcome(out *scenario.Outcome) ScenarioResult {
-	res := ScenarioResult{
+	return ScenarioResult{
 		Name:            out.Name,
 		Summary:         out.Summary(),
 		Inconsistent:    out.Fate == verify.Omission,
 		DoubleReception: out.Fate == verify.Duplicate,
+		Timeline:        out.Timeline(),
 	}
-	if first, last, ok := out.Recorder.EOFWindow(0, 1); ok {
-		from := uint64(0)
-		if first > 8 {
-			from = first - 8
-		}
-		res.Timeline = out.Recorder.Render(from, last+40)
-	}
-	return res
 }
 
 // ReplayNewScenario replays the paper's Fig. 3 disturbance pattern (the
