@@ -67,13 +67,15 @@ func BenchmarkMonteCarlo1k(b *testing.B) {
 }
 
 // BenchmarkEngineBitslots compares the fast bit-slot engine against the
-// reference per-slot loop on the two workloads that matter (DESIGN.md
-// §15): an undisturbed sweep, where quiescent fast-forward batches
-// whole frame bodies, and the disturbed EOF-only Monte Carlo, where the
-// gated error model lets windows persist between draws. The bitslots/s
-// metric is the repo's throughput currency; the engines produce
-// bit-identical traces (see internal/sim CompareEngines), so this is a
-// pure like-for-like comparison.
+// reference per-slot loop on the workloads that matter (DESIGN.md §15):
+// an undisturbed sweep, where quiescent fast-forward batches whole frame
+// bodies; the disturbed EOF-only Monte Carlo, where the gated error
+// model lets windows persist between draws; and the paper's reference
+// bus (sim.RunWorkload: 32 stations at 90 % load under the ungated
+// ber* model), where windows reach up to the next firing draw. The
+// bitslots/s metric is the repo's throughput currency; the engines
+// produce bit-identical traces (see internal/sim CompareEngines), so
+// this is a pure like-for-like comparison.
 func BenchmarkEngineBitslots(b *testing.B) {
 	workloads := map[string]sim.MCConfig{
 		"undisturbed-sweep": {
@@ -102,6 +104,32 @@ func BenchmarkEngineBitslots(b *testing.B) {
 				b.ReportMetric(float64(slots)*float64(b.N)/b.Elapsed().Seconds(), "bitslots/s")
 			})
 		}
+	}
+	load32 := sim.WorkloadConfig{
+		Policy: core.MustMajorCAN(5), Nodes: 32, Slots: 16000,
+		Load: 0.9, BerStar: 1e-5, Seed: 1,
+	}
+	for _, engine := range []sim.EngineChoice{sim.EngineFast, sim.EngineReference} {
+		b.Run("bus-load32/"+string(engine), func(b *testing.B) {
+			// RunWorkload takes no engine option: switch the process
+			// default for the duration of the sub-benchmark.
+			if err := sim.SetDefaultEngine(engine); err != nil {
+				b.Fatal(err)
+			}
+			defer func() {
+				if err := sim.SetDefaultEngine(sim.EngineAuto); err != nil {
+					b.Fatal(err)
+				}
+			}()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sim.RunWorkload(load32); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// Slots before the drain, as perfbench counts them.
+			b.ReportMetric(float64(load32.Slots)*float64(b.N)/b.Elapsed().Seconds(), "bitslots/s")
+		})
 	}
 }
 

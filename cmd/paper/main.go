@@ -176,14 +176,16 @@ func scenarios(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 			}
 		}
 		std := core.NewStandard()
+		var major core.MajorCAN // set from -m before any figure that reads it runs
 		figures := []struct {
-			name string
-			run  func() error
+			name  string
+			usesM bool
+			run   func() error
 		}{
-			{"1a", replay(func() (*scenario.Outcome, error) { return scenario.Fig1a(std) })},
-			{"1b", replay(func() (*scenario.Outcome, error) { return scenario.Fig1b(std) })},
-			{"1c", replay(func() (*scenario.Outcome, error) { return scenario.Fig1c(std) })},
-			{"2", func() error {
+			{"1a", false, replay(func() (*scenario.Outcome, error) { return scenario.Fig1a(std) })},
+			{"1b", false, replay(func() (*scenario.Outcome, error) { return scenario.Fig1b(std) })},
+			{"1c", false, replay(func() (*scenario.Outcome, error) { return scenario.Fig1c(std) })},
+			{"2", false, func() error {
 				a, b, c, err := scenario.Fig2()
 				if err != nil {
 					return err
@@ -193,9 +195,9 @@ func scenarios(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 				}
 				return nil
 			}},
-			{"3a", replay(scenario.Fig3a)},
-			{"3b", replay(scenario.Fig3b)},
-			{"4", func() error {
+			{"3a", false, replay(scenario.Fig3a)},
+			{"3b", false, replay(scenario.Fig3b)},
+			{"4", true, func() error {
 				rows, err := scenario.Fig4(*m)
 				if err != nil {
 					return err
@@ -205,19 +207,9 @@ func scenarios(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 				fmt.Fprintln(w)
 				return nil
 			}},
-			{"5", replay(func() (*scenario.Outcome, error) { return scenario.Fig5(*m) })},
-			{"major-new", replay(func() (*scenario.Outcome, error) {
-				major, err := core.NewMajorCAN(*m)
-				if err != nil {
-					return nil, err
-				}
-				return scenario.NewScenario(major)
-			})},
-			{"can5", func() error {
-				major, err := core.NewMajorCAN(*m)
-				if err != nil {
-					return err
-				}
+			{"5", true, replay(func() (*scenario.Outcome, error) { return scenario.Fig5(*m) })},
+			{"major-new", true, replay(func() (*scenario.Outcome, error) { return scenario.NewScenario(major) })},
+			{"can5", true, func() error {
 				fmt.Fprintln(w, "== CAN5 total-order example (Section 2.2) ==")
 				for _, policy := range []node.EOFPolicy{std, core.NewMinorCAN(), major} {
 					out, err := scenario.CAN5(policy)
@@ -230,17 +222,29 @@ func scenarios(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 				return nil
 			}},
 		}
-		known := false
+		selected := figures[:0]
+		usesM := false
 		for _, f := range figures {
 			if *fig == "all" || *fig == f.name {
-				known = true
-				if err := f.run(); err != nil {
-					return fmt.Errorf("fig %s: %w", f.name, err)
-				}
+				selected = append(selected, f)
+				usesM = usesM || f.usesM
 			}
 		}
-		if !known {
+		if len(selected) == 0 {
 			return fmt.Errorf("unknown figure %q (want 1a, 1b, 1c, 2, 3a, 3b, 4, 5, major-new, can5 or all)", *fig)
+		}
+		// Reject a bad -m before any figure prints, but only when a
+		// selected figure reads it.
+		if usesM {
+			var err error
+			if major, err = core.NewMajorCAN(*m); err != nil {
+				return fmt.Errorf("-m: %w", err)
+			}
+		}
+		for _, f := range selected {
+			if err := f.run(); err != nil {
+				return fmt.Errorf("fig %s: %w", f.name, err)
+			}
 		}
 		return nil
 	}

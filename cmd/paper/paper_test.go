@@ -68,6 +68,8 @@ func TestBadArgumentsFailClosed(t *testing.T) {
 		{"overhead", "-m", "3,,4"},
 		{"scenarios", "-m", "2", "-fig", "major-new"},
 		{"scenarios", "-m", "2", "-fig", "can5"},
+		{"scenarios", "-m", "2", "-fig", "all"},
+		{"scenarios", "-m", "2", "-fig", "4"},
 		{"scenarios", "-fig", "6"},
 		{"drift", "-frames", "-1"},
 		{"drift", "-frames", "0"},
@@ -91,6 +93,21 @@ func TestBadArgumentsFailClosed(t *testing.T) {
 				t.Errorf("stderr is not one %q line:\n%s", "paper "+args[0]+": ", msg)
 			}
 		})
+	}
+}
+
+// A bad -m is only an error for the figures that read it: the m-free
+// ones print exactly what they print at the default m.
+func TestScenariosIgnoreMWhenUnused(t *testing.T) {
+	var want, got, stderr bytes.Buffer
+	if code := run([]string{"scenarios", "-fig", "1a"}, &want, &stderr); code != 0 {
+		t.Fatalf("-fig 1a: exit %d; stderr:\n%s", code, stderr.String())
+	}
+	if code := run([]string{"scenarios", "-fig", "1a", "-m", "2"}, &got, &stderr); code != 0 {
+		t.Fatalf("-fig 1a -m 2: exit %d; stderr:\n%s", code, stderr.String())
+	}
+	if got.String() != want.String() || got.Len() == 0 {
+		t.Errorf("-fig 1a -m 2 printed\n%s\nwant\n%s", got.String(), want.String())
 	}
 }
 

@@ -187,6 +187,7 @@ type Network struct {
 	version      uint64
 	slot         uint64
 	prevLevel    bitstream.Level
+	busy         uint64 // dominant slots simulated; not part of State
 
 	// scratch buffers reused across steps
 	drives  []bitstream.Level
@@ -290,23 +291,37 @@ func (n *Network) Emitter() obs.Sink { return n.emitter }
 func (n *Network) PrevLevel() bitstream.Level { return n.prevLevel }
 
 // CommitSlot records the completion of one bit slot executed outside
-// Step: it advances the slot counter and the previous-level latch. Part
-// of the engine seam; callers other than an installed Engine must not
-// use it.
+// Step: it advances the slot counter, the previous-level latch and the
+// dominant-slot count. Part of the engine seam; callers other than an
+// installed Engine must not use it.
 func (n *Network) CommitSlot(level bitstream.Level) {
 	n.prevLevel = level
 	n.slot++
+	if level == bitstream.Dominant {
+		n.busy++
+	}
 }
 
-// SkipSlots records the completion of k batch-executed bit slots whose
-// last bus level was last. Part of the engine seam, like CommitSlot.
-func (n *Network) SkipSlots(k int, last bitstream.Level) {
-	n.prevLevel = last
-	n.slot += uint64(k)
+// SkipSlots records the completion of the batch-executed bit slots
+// whose bus levels were win (non-empty), like one CommitSlot per level.
+// Part of the engine seam, like CommitSlot.
+func (n *Network) SkipSlots(win bitstream.Sequence) {
+	for _, level := range win {
+		if level == bitstream.Dominant {
+			n.busy++
+		}
+	}
+	n.prevLevel = win[len(win)-1]
+	n.slot += uint64(len(win))
 }
 
 // Slot returns the index of the next bit slot to be simulated.
 func (n *Network) Slot() uint64 { return n.slot }
+
+// BusySlots returns the number of slots simulated so far whose bus level
+// was dominant. It is a run statistic, not simulation state: Snapshot
+// does not capture it and Restore does not rewind it.
+func (n *Network) BusySlots() uint64 { return n.busy }
 
 // State is the part of a Network a snapshot restores: the slot clock and
 // the edge-detection latch. Stations restore their own state.
@@ -387,6 +402,9 @@ func (n *Network) Step() bitstream.Level {
 	}
 	n.prevLevel = level
 	n.slot++
+	if level == bitstream.Dominant {
+		n.busy++
+	}
 	return level
 }
 

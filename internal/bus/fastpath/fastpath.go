@@ -11,12 +11,14 @@
 //     allocations per slot;
 //
 //   - quiescent fast-forward: while a single transmitter is past
-//     arbitration and every other station provably stays recessive and
-//     outside the disturbable EOF region, the transmitter's pre-stuffed
-//     encoding is replayed in a batch up to (excluding) the ACK slot.
-//     Receivers whose receive pipeline mirrors the transmitter's skip
-//     their per-bit latches entirely and adopt the transmitter's
-//     pipeline at the window end;
+//     arbitration, every other station provably stays recessive and
+//     outside the disturbable EOF region, and the ungated spatial
+//     models' streams hold only clean draws (looked ahead and buffered
+//     in errmodel.Random), the transmitter's pre-stuffed encoding is
+//     replayed in a batch up to (excluding) the ACK slot. Receivers
+//     whose receive pipeline mirrors the transmitter's skip their
+//     per-bit latches entirely and adopt the transmitter's pipeline at
+//     the window end;
 //
 //   - eligibility fallback: anything the fast core does not model
 //     exactly — probes, output faults, sample skews, scripted or unknown
@@ -69,13 +71,15 @@ const (
 	// its draws is unobservable (nothing reads the stream position).
 	entryNever entryKind = iota
 	// entryRandom is an ungated spatial model: one draw per (slot,
-	// station). A disturbance is possible every slot, so fast-forward is
-	// off while one is registered.
+	// station). A disturbance is possible every slot, so fast-forward
+	// windows end before the first slot holding a firing draw, found by
+	// looking ahead in the stream (errmodel.Random.CleanAhead).
 	entryRandom
 	// entryRandomEOF is a spatial model gated on the EOF region: draws
 	// happen only for stations inside an EOF episode.
 	entryRandomEOF
-	// entryGlobal is an ungated whole-bus model: one draw per slot.
+	// entryGlobal is an ungated whole-bus model: one draw per slot. It
+	// has no lookahead, so fast-forward is off while one is registered.
 	entryGlobal
 	// entryGlobalEOF is a whole-bus model gated on the EOF region: the
 	// slot's draw happens at the first in-episode station.
@@ -89,6 +93,14 @@ type entry struct {
 	glb  *errmodel.GlobalRandom
 }
 
+// lookahead is one distinct ungated spatial model and the number of
+// draws a slot takes from its stream (stations times the entries that
+// share the instance).
+type lookahead struct {
+	rnd     *errmodel.Random
+	perSlot int
+}
+
 // Engine is the fast bit-slot executor. Create one per bus.Network with
 // Install (or New followed by Network.SetEngine); it must be driven
 // from the network's goroutine, like the network itself.
@@ -99,10 +111,11 @@ type Engine struct {
 	emitter obs.Sink
 
 	// planFast state: concrete stations and specialised disturbers.
-	ctrls      []*node.Controller
-	entries    []entry
-	hasUngated bool // a disturbance is possible in any slot
-	hasGated   bool // draws depend on per-station EOF position
+	ctrls     []*node.Controller
+	entries   []entry
+	ahead     []lookahead // ungated spatial models, one per instance
+	noHorizon bool        // an ungated whole-bus model: a disturbance is possible in any slot
+	hasGated  bool        // draws depend on per-station EOF position
 }
 
 var _ bus.Engine = (*Engine)(nil)
@@ -147,7 +160,8 @@ func (e *Engine) replan() {
 	e.emitter = e.net.Emitter()
 	e.ctrls = e.ctrls[:0]
 	e.entries = e.entries[:0]
-	e.hasUngated, e.hasGated = false, false
+	e.ahead = e.ahead[:0]
+	e.noHorizon, e.hasGated = false, false
 	e.mode = planReference
 
 	n := e.net.Stations()
@@ -169,14 +183,31 @@ func (e *Engine) replan() {
 		switch en.kind {
 		case entryNever:
 			continue // never fires, never draws: drop it from the plan
-		case entryRandom, entryGlobal:
-			e.hasUngated = true
+		case entryRandom:
+			e.addLookahead(en.rnd, n)
+		case entryGlobal:
+			e.noHorizon = true
 		case entryRandomEOF, entryGlobalEOF:
 			e.hasGated = true
 		}
 		e.entries = append(e.entries, en)
 	}
 	e.mode = planFast
+}
+
+// addLookahead accounts one ungated spatial entry drawing once per
+// station per slot from r; an instance registered more than once draws
+// that many times per station.
+//
+//lint:allow hotpath -- plan (re)construction is cold: once per network configuration change, never per bit slot.
+func (e *Engine) addLookahead(r *errmodel.Random, stations int) {
+	for i := range e.ahead {
+		if e.ahead[i].rnd == r {
+			e.ahead[i].perSlot += stations
+			return
+		}
+	}
+	e.ahead = append(e.ahead, lookahead{rnd: r, perSlot: stations})
 }
 
 // classify maps a registered disturber to a specialised entry, or
@@ -334,18 +365,20 @@ func (e *Engine) emitFrameStart(slot uint64) {
 // fastForward batch-advances through a quiescent window and returns how
 // many slots it consumed (0 when no window applies). The window is the
 // transmitter's remaining pre-stuffed bits before the ACK slot, bounded
-// by budget, and it ends — before the bit in question — as soon as any
+// by budget and by the slots whose ungated spatial draws are all clean,
+// and it ends — before the bit in question — as soon as any
 // non-mirroring station would drive dominant (a starting transmitter,
 // an error or overload flag, a receiver's ACK) or would sit in the EOF
 // region where a gated error model draws. Within the window the bus
-// level is therefore exactly the transmitter's encoding, no RNG draw
-// occurs in either engine, and every skipped per-bit effect is either
-// replayed (transmitter and non-mirroring stations latch normally) or
-// provably absent (mirroring receivers, whose pipeline is adopted from
-// the transmitter at the end).
+// level is therefore exactly the transmitter's encoding, no draw fires
+// and no gated draw occurs in either engine (the ungated models' clean
+// draws are consumed in a batch), and every skipped per-bit effect is
+// either replayed (transmitter and non-mirroring stations latch
+// normally) or provably absent (mirroring receivers, whose pipeline is
+// adopted from the transmitter at the end).
 func (e *Engine) fastForward(budget int) int {
-	if e.hasUngated {
-		// A disturbance is possible in any slot: no quiescent horizon.
+	if e.noHorizon {
+		// A whole-bus disturbance is possible in any slot.
 		return 0
 	}
 	tx := -1
@@ -369,6 +402,14 @@ func (e *Engine) fastForward(budget int) int {
 	}
 	if len(win) > budget {
 		win = win[:budget]
+	}
+	for _, a := range e.ahead {
+		if clean := a.rnd.CleanAhead(len(win)*a.perSlot) / a.perSlot; clean < len(win) {
+			win = win[:clean]
+		}
+	}
+	if len(win) == 0 {
+		return 0
 	}
 	// Partition the other stations once: mirrors are adopted wholesale at
 	// the end, everything else must be checked and latched per bit. The
@@ -420,6 +461,9 @@ func (e *Engine) fastForward(budget int) int {
 	for m := mirror; m != 0; m &= m - 1 {
 		e.ctrls[bits.TrailingZeros64(m)].AdoptPipeline(t, uint64(n))
 	}
-	e.net.SkipSlots(n, win[n-1])
+	for _, a := range e.ahead {
+		a.rnd.SkipClean(n * a.perSlot)
+	}
+	e.net.SkipSlots(win[:n])
 	return n
 }

@@ -24,11 +24,22 @@ import (
 // Fork derives an independent per-worker disturber whose flips also
 // accumulate into this instance's counter, so Flips on the parent reports
 // the lineage-wide total and can be read concurrently while workers run.
+//
+// CleanAhead may draw ahead of consumption; the draws it sees are
+// buffered and handed out by Sample and SkipClean in stream order, and a
+// flip is counted when it is consumed, not when it is drawn. The
+// logical stream and the counters therefore match a draw-per-Sample run
+// after every consumed draw.
 type Random struct {
 	rng     *rand.Rand
 	berStar float64
 	flips   atomic.Uint64
 	parent  *Random
+
+	// The lookahead buffer: clean draws already taken from rng, then,
+	// when fire is set, one firing draw after them.
+	clean int
+	fire  bool
 }
 
 var _ bus.Disturber = (*Random)(nil)
@@ -53,19 +64,52 @@ func (r *Random) Disturb(_ uint64, _ int, _ bus.ViewContext) bool {
 	return r.Sample()
 }
 
-// Sample draws the next flip decision from the disturber's stream,
-// advancing the RNG and the flip counters exactly as one Disturb call
-// would. It is the draw primitive the fast bit-slot engine replicates
-// the reference Disturb-call pattern with: one Sample per (slot,
-// station) in ascending station order yields a bit-identical stream.
+// Sample consumes the next flip decision of the disturber's stream
+// (from the lookahead buffer first, then from the RNG) and counts it in
+// the flip counters when it fires, exactly as one Disturb call would. It
+// is the draw primitive the fast bit-slot engine replicates the
+// reference Disturb-call pattern with: one Sample per (slot, station) in
+// ascending station order yields a bit-identical stream.
 func (r *Random) Sample() bool {
-	if r.rng.Float64() < r.berStar {
-		for p := r; p != nil; p = p.parent {
-			p.flips.Add(1)
-		}
-		return true
+	switch {
+	case r.clean > 0:
+		r.clean--
+		return false
+	case r.fire:
+		r.fire = false
+	case r.rng.Float64() >= r.berStar:
+		return false
 	}
-	return false
+	for p := r; p != nil; p = p.parent {
+		p.flips.Add(1)
+	}
+	return true
+}
+
+// CleanAhead reports how many of the next draws, up to limit, are clean:
+// it draws from the RNG, exactly as Sample would, until it sees a firing
+// draw or holds limit clean ones, and buffers what it saw for Sample and
+// SkipClean to consume. It is the fast engine's next-disturbance
+// lookahead for the ungated model: the slots those clean draws cover
+// are disturbance-free.
+func (r *Random) CleanAhead(limit int) int {
+	for r.clean < limit && !r.fire {
+		if r.rng.Float64() < r.berStar {
+			r.fire = true
+		} else {
+			r.clean++
+		}
+	}
+	return min(r.clean, limit)
+}
+
+// SkipClean consumes k buffered clean draws, as k Sample calls would;
+// k must not exceed what CleanAhead last reported.
+func (r *Random) SkipClean(k int) {
+	if k > r.clean {
+		panic("errmodel: SkipClean past the clean lookahead")
+	}
+	r.clean -= k
 }
 
 // AlwaysClean reports that the disturber can never fire: its rate is
@@ -75,9 +119,10 @@ func (r *Random) Sample() bool {
 // lookahead for rate-zero models: the answer is "never".
 func (r *Random) AlwaysClean() bool { return r.berStar <= 0 }
 
-// Flips returns the number of bit flips injected so far by this disturber
-// and all disturbers forked from it. It is safe to call concurrently with
-// forks running on other goroutines.
+// Flips returns the number of bit flips injected so far (firing draws
+// consumed, not merely looked ahead) by this disturber and all
+// disturbers forked from it. It is safe to call concurrently with forks
+// running on other goroutines.
 func (r *Random) Flips() uint64 {
 	return r.flips.Load()
 }

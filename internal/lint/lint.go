@@ -174,6 +174,8 @@ var HotPathRoots = []string{
 	"repro/internal/node.Controller.AdoptPipeline",
 	"repro/internal/node.Controller.LatchTxWindow",
 	"repro/internal/errmodel.Random.Sample",
+	"repro/internal/errmodel.Random.CleanAhead",
+	"repro/internal/errmodel.Random.SkipClean",
 	"repro/internal/errmodel.GlobalRandom.SampleSlot",
 }
 

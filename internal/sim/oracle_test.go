@@ -13,16 +13,17 @@ import (
 // per-slot loop and the fast engine, and every point outcome and every
 // protocol event must be identical. The specs cover each execution
 // regime of the fast engine: gated EOF-only models (quiescent
-// fast-forward plus packed per-slot stepping), ungated models (packed
-// stepping only), the whole-bus global model, and undisturbed runs
-// (pure fast-forward).
+// fast-forward plus packed per-slot stepping), ungated spatial models
+// (fast-forward up to the next firing draw, found by looking ahead in
+// the stream), the whole-bus global model (packed stepping only when
+// ungated), and undisturbed runs (pure fast-forward).
 func TestEnginesAgreeAcrossSpecs(t *testing.T) {
 	specs := []sim.SweepSpec{
 		{Protocol: "can", Frames: 40, BerStar: 0.01, Seeds: 3, EOFOnly: true, ResetCounters: true},
 		{Protocol: "minorcan", Frames: 40, BerStar: 0.01, Seeds: 3, EOFOnly: true, ResetCounters: true},
 		{Protocol: "majorcan_5", Frames: 40, BerStar: 0.01, Seeds: 3, EOFOnly: true, ResetCounters: true},
 		// Ungated spatial model: a disturbance is possible every slot, so
-		// the fast engine must run the packed core without fast-forward.
+		// fast-forward windows must end before the first firing draw.
 		{Protocol: "can", Frames: 25, BerStar: 0.002, Seeds: 2},
 		// Whole-bus model, gated and ungated.
 		{Protocol: "majorcan_5", Frames: 25, BerStar: 0.01, Seeds: 2, EOFOnly: true, GlobalModel: true},
@@ -32,6 +33,9 @@ func TestEnginesAgreeAcrossSpecs(t *testing.T) {
 		// Heavier injection with rotation and the switch-off policy, so
 		// stations change mode and drop out mid-sweep.
 		{Protocol: "can", Frames: 30, BerStar: 0.03, Seeds: 2, EOFOnly: true, RotateOrigins: true, WarningSwitchOff: true},
+		// Ungated spatial model at the paper's 32 stations, where every
+		// fast-forwarded slot covers 32 clean draws.
+		{Protocol: "majorcan_5", Nodes: 32, Frames: 20, BerStar: 2e-4, Seeds: 2},
 	}
 	for i, spec := range specs {
 		spec := spec

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/bitstream"
 	"repro/internal/errmodel"
 	"repro/internal/frame"
 	"repro/internal/node"
@@ -125,8 +124,11 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	enqueued := make(map[key]uint64)
 	lastDelivery := make(map[key]uint64)
 
-	var busy uint64
-	for slot := 0; slot < cfg.Slots; slot++ {
+	// Between arrivals nothing but the bus acts, so the network advances
+	// in one Run per inter-arrival gap (through the installed engine) and
+	// every arrival is checked at exactly its slot.
+	for slot := 0; slot < cfg.Slots; {
+		stop := cfg.Slots
 		for i := 0; i < cfg.Nodes; i++ {
 			if slot >= next[i] {
 				ctrl := cluster.Nodes[i]
@@ -144,11 +146,12 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 				}
 				next[i] += period
 			}
+			stop = min(stop, next[i])
 		}
-		if cluster.Net.Step() == bitstream.Dominant {
-			busy++
-		}
+		cluster.Net.Run(stop - slot)
+		slot = stop
 	}
+	res.BusySlots = cluster.Net.BusySlots()
 	// Drain.
 	cluster.RunUntilQuiet(20 * frameSlots)
 
@@ -242,7 +245,6 @@ func RunWorkload(cfg WorkloadConfig) (*WorkloadResult, error) {
 	if latCount > 0 {
 		res.MeanLatency = float64(latSum) / float64(latCount)
 	}
-	res.BusySlots = busy
 	res.Utilisation = float64(res.TxSuccess*frameSlots) / float64(cfg.Slots)
 	return res, nil
 }

@@ -1,6 +1,8 @@
 package sim_test
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -63,5 +65,45 @@ func TestWorkloadValidation(t *testing.T) {
 	}
 	if _, err := sim.RunWorkload(sim.WorkloadConfig{Policy: core.NewStandard(), Nodes: 4, Slots: 0, Load: 0.5}); err == nil {
 		t.Error("zero slots must be rejected")
+	}
+}
+
+// TestWorkloadEnginesAgree pins RunWorkload's engine transparency on the
+// paper's reference bus (32 stations, 90 % load, ungated ber*): the fast
+// engine, which fast-forwards between the stream's firing draws, and the
+// reference loop must give identical results, BusySlots included. It
+// switches the process-wide default engine, so it must not run in
+// parallel.
+func TestWorkloadEnginesAgree(t *testing.T) {
+	for _, ber := range []float64{0, 1e-5, 1e-3} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("ber%g/seed%d", ber, seed), func(t *testing.T) {
+				cfg := sim.WorkloadConfig{
+					Policy: core.MustMajorCAN(5), Nodes: 32, Slots: 16000,
+					Load: 0.9, BerStar: ber, Seed: seed,
+				}
+				results := make(map[sim.EngineChoice]*sim.WorkloadResult)
+				for _, choice := range []sim.EngineChoice{sim.EngineFast, sim.EngineReference} {
+					if err := sim.SetDefaultEngine(choice); err != nil {
+						t.Fatal(err)
+					}
+					res, err := sim.RunWorkload(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					results[choice] = res
+				}
+				if err := sim.SetDefaultEngine(sim.EngineAuto); err != nil {
+					t.Fatal(err)
+				}
+				fast, ref := results[sim.EngineFast], results[sim.EngineReference]
+				if !reflect.DeepEqual(fast, ref) {
+					t.Fatalf("engines diverge:\n  fast:      %+v\n  reference: %+v", *fast, *ref)
+				}
+				if ref.Offered == 0 || ref.BusySlots == 0 {
+					t.Fatalf("no traffic: %+v", *ref)
+				}
+			})
+		}
 	}
 }
