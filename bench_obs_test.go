@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -266,7 +267,7 @@ func TestTelemetryZeroAllocWhenDisabled(t *testing.T) {
 // download, paid at export time, never on the simulation path.
 func BenchmarkTraceSynthesis(b *testing.B) {
 	mem := obs.NewMemory()
-	if _, err := chaos.RunObserved(chaos.Script{
+	if _, err := chaos.Run(context.Background(), chaos.Script{
 		Version:  chaos.ScriptVersion,
 		Protocol: "can",
 		Nodes:    5,

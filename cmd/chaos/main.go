@@ -13,8 +13,8 @@
 // chaos.CampaignSpec the simulation service accepts, and -spec runs a
 // service job-spec file (kind campaign or script) directly, so a spec
 // executes identically here and through mcservd. SIGINT/SIGTERM stop a
-// campaign between trials through the job's context — the same path a
-// server drain uses.
+// campaign, a replay or a script run through the job's context — the
+// same path a server drain uses.
 //
 // Replay exits 0 exactly when the artifact reproduces its recorded
 // verdict (a recorded violation that replays identically is a success);
@@ -180,16 +180,16 @@ func main() {
 	}
 	stopProf = sp
 
-	// One cancellation path for every long-running mode: SIGINT/SIGTERM
-	// stop a campaign between trials, exactly as a service drain would.
+	// One cancellation path for every mode: SIGINT/SIGTERM stop a
+	// campaign, a replay or a script run, exactly as a service drain would.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	switch {
 	case *replayPath != "":
-		replay(*replayPath, *jsonOut, newTelemetry(*eventsPath, *metricsPath, *policy))
+		replay(ctx, *replayPath, *jsonOut, newTelemetry(*eventsPath, *metricsPath, *policy))
 	case *scriptPath != "":
-		runScriptFile(*scriptPath, *jsonOut, newTelemetry(*eventsPath, *metricsPath, *policy))
+		runScriptFile(ctx, *scriptPath, *jsonOut, newTelemetry(*eventsPath, *metricsPath, *policy))
 	case *specPath != "":
 		data, err := os.ReadFile(*specPath)
 		if err != nil {
@@ -204,7 +204,7 @@ func main() {
 			campaign(ctx, *js.Campaign, *outDir, *jsonOut, *progress,
 				newTelemetry("", *metricsPath, js.Campaign.Protocol))
 		case serve.KindScript:
-			runScript(*js.Script, *jsonOut, newTelemetry(*eventsPath, *metricsPath, js.Script.Protocol))
+			runScript(ctx, *js.Script, *jsonOut, newTelemetry(*eventsPath, *metricsPath, js.Script.Protocol))
 		default:
 			fail("chaos runs campaign and script jobs; %s is a %q job (use mcsim or the service)", *specPath, js.Kind)
 		}
@@ -237,7 +237,7 @@ func toKinds(names []string) []chaos.FaultKind {
 	return out
 }
 
-func replay(path string, jsonOut bool, t *telemetry) {
+func replay(ctx context.Context, path string, jsonOut bool, t *telemetry) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fail("%v", err)
@@ -246,7 +246,7 @@ func replay(path string, jsonOut bool, t *telemetry) {
 	if err != nil {
 		fail("%v", err)
 	}
-	rr, err := chaos.ReplayObserved(a, t.chaosTelemetry())
+	rr, err := chaos.Replay(ctx, a, t.chaosTelemetry())
 	if err != nil {
 		fail("%v", err)
 	}
@@ -274,7 +274,7 @@ func replay(path string, jsonOut bool, t *telemetry) {
 	exit(0)
 }
 
-func runScriptFile(path string, jsonOut bool, t *telemetry) {
+func runScriptFile(ctx context.Context, path string, jsonOut bool, t *telemetry) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fail("%v", err)
@@ -286,11 +286,11 @@ func runScriptFile(path string, jsonOut bool, t *telemetry) {
 	if s.Version == 0 {
 		s.Version = chaos.ScriptVersion
 	}
-	runScript(s, jsonOut, t)
+	runScript(ctx, s, jsonOut, t)
 }
 
-func runScript(s chaos.Script, jsonOut bool, t *telemetry) {
-	r, err := chaos.RunObserved(s, t.chaosTelemetry())
+func runScript(ctx context.Context, s chaos.Script, jsonOut bool, t *telemetry) {
+	r, err := chaos.Run(ctx, s, t.chaosTelemetry())
 	if err != nil {
 		fail("%v", err)
 	}

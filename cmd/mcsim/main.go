@@ -38,7 +38,6 @@ func main() {
 	rotate := flag.Bool("rotate", false, "rotate the transmitting station")
 	reset := flag.Bool("reset", true, "reset error counters between frames (keep all nodes error-active)")
 	sweep := flag.Int("sweep", 0, "run this many seeds (seed, seed+1, ...) in parallel and aggregate")
-	compareEngines := flag.Bool("compare-engines", false, "run the sweep under both engines and report the first diverging slot (debug)")
 	specPath := flag.String("spec", "", "run a canonical job-spec file (kind sweep) instead of the flags")
 	parallel := flag.Int("parallel", 4, "concurrent simulations during a sweep")
 	jsonOut := flag.Bool("json", false, "emit the machine-readable sweep outcome instead of text")
@@ -95,18 +94,6 @@ func main() {
 	}
 	if err := spec.Validate(); err != nil {
 		fatalf("%v", err)
-	}
-	if *compareEngines {
-		cmp, err := sim.CompareEngines(ctx, spec, *parallel)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if cmp.Identical() {
-			fmt.Printf("engines agree: %d seed(s), %d events byte-identical\n", cmp.Seeds, cmp.Events)
-			exit(0)
-		}
-		fmt.Printf("ENGINES DIVERGE: %s\n", cmp.Divergence)
-		exit(1)
 	}
 	seeds := spec.SeedList()
 

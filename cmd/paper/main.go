@@ -402,7 +402,7 @@ func verifyCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 		}
 		//lint:allow determinism -- CLI elapsed-time display; not simulation state
 		start := time.Now()
-		rep, memo, err := verify.ExhaustiveStats(context.Background(), verify.Config{Policy: policy,
+		rep, memo, err := verify.Exhaustive(context.Background(), verify.Config{Policy: policy,
 			Stations: *stations, MaxFlips: *k, Positions: *positions, Parallelism: *parallel, CrashSweep: *crash})
 		if err != nil {
 			return err

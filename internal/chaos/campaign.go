@@ -205,16 +205,13 @@ func coversClasses(got []string, want map[string]bool) bool {
 	return true
 }
 
-// Run executes the campaign.
-func (c *Campaign) Run() (*CampaignResult, error) {
-	return c.RunContext(context.Background())
-}
-
-// RunContext executes the campaign, stopping between trials when ctx is
-// cancelled. A cancelled campaign returns its partial result alongside
-// ctx's error, so callers can flush what completed — the same contract
-// sim.RunSweepSpec gives interrupted sweeps.
-func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
+// Run executes the campaign, stopping when ctx is cancelled: between
+// trials, or inside a trial's runs and shrinking. An interrupted trial
+// adds no executions, no finding and no progress, and the partial result
+// of the trials before it returns alongside ctx's error, so callers can
+// flush what completed — the same contract sim.RunSweepSpec gives
+// interrupted sweeps. ctx never influences a campaign that completes.
+func (c *Campaign) Run(ctx context.Context) (*CampaignResult, error) {
 	cc, err := c.defaults()
 	if err != nil {
 		return nil, err
@@ -260,13 +257,16 @@ func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 		for i := 0; i < nf; i++ {
 			script.Faults = append(script.Faults, cc.draw(rng))
 		}
-		run, err := RunObserved(script, tel)
+		run, err := Run(ctx, script, tel)
 		if err != nil {
+			if ctx.Err() != nil {
+				return res, ctx.Err()
+			}
 			return nil, fmt.Errorf("chaos: trial %d: %w", trial, err)
 		}
-		res.Executions++
 		violations := Violations(run, cc.Probes)
 		if len(violations) == 0 {
+			res.Executions++
 			if cc.OnTrial != nil {
 				cc.OnTrial(trial + 1)
 			}
@@ -274,19 +274,26 @@ func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 			continue
 		}
 		classes := violationClasses(violations)
+		execs := 1
 		shrunk := Shrink(script, func(cand Script) bool {
-			r, err := RunObserved(cand, tel)
+			r, err := Run(ctx, cand, tel)
 			if err != nil {
 				return false
 			}
-			res.Executions++
+			execs++
 			return coversClasses(Violations(r, cc.Probes), classes)
 		})
-		final, err := RunObserved(shrunk, tel)
+		// A candidate cut short by ctx reads as "does not reproduce", but
+		// such a shrink is never recorded: ctx stays cancelled, so the
+		// final run fails before its first frame.
+		final, err := Run(ctx, shrunk, tel)
 		if err != nil {
+			if ctx.Err() != nil {
+				return res, ctx.Err()
+			}
 			return nil, fmt.Errorf("chaos: trial %d (shrunk): %w", trial, err)
 		}
-		res.Executions++
+		res.Executions += execs + 1
 		verdict := VerdictOf(final, cc.Probes)
 		res.Findings = append(res.Findings, Finding{
 			Trial:      trial,
@@ -322,21 +329,16 @@ type ReplayResult struct {
 // Matches reports full bit-for-bit and verdict agreement.
 func (r *ReplayResult) Matches() bool { return r.DigestMatch && r.VerdictMatch }
 
-// Replay re-executes an artifact's script and checks that it reproduces
-// the recorded verdict exactly. Probes default to DefaultProbes, which is
-// what campaigns record.
-func Replay(a Artifact, probes ...Probe) (*ReplayResult, error) {
-	return ReplayObserved(a, Telemetry{}, probes...)
-}
-
-// ReplayObserved is Replay with telemetry attached to the re-execution,
-// so a checked-in counterexample can be turned into a readable event
-// sequence and a metrics snapshot.
-func ReplayObserved(a Artifact, t Telemetry, probes ...Probe) (*ReplayResult, error) {
+// Replay re-executes an artifact's script with telemetry t attached and
+// checks that it reproduces the recorded verdict exactly, so a checked-in
+// counterexample can also be turned into a readable event sequence and a
+// metrics snapshot. Probes default to DefaultProbes, which is what
+// campaigns record.
+func Replay(ctx context.Context, a Artifact, t Telemetry, probes ...Probe) (*ReplayResult, error) {
 	if len(probes) == 0 {
 		probes = DefaultProbes()
 	}
-	run, err := RunObserved(a.Script, t)
+	run, err := Run(ctx, a.Script, t)
 	if err != nil {
 		return nil, err
 	}

@@ -1,12 +1,15 @@
 package chaos
 
 import (
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/abcheck"
+	"repro/internal/obs"
 )
 
 // TestCampaignRediscoversFig3a is the headline robustness result: a random
@@ -25,7 +28,7 @@ func TestCampaignRediscoversFig3a(t *testing.T) {
 		Probes:      []Probe{AB(abcheck.Agreement)},
 		StopAtFirst: true,
 	}
-	res, err := c.Run()
+	res, err := c.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +64,7 @@ func TestCampaignRediscoversFig3a(t *testing.T) {
 	}
 
 	// The finding must replay bit-for-bit from its artifact.
-	rr, err := Replay(f.Artifact(c.Name), c.Probes...)
+	rr, err := Replay(context.Background(), f.Artifact(c.Name), Telemetry{}, c.Probes...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +86,7 @@ func TestCampaignCleanOnMajorCAN(t *testing.T) {
 		Seed:       12,
 		Probes:     []Probe{AB(abcheck.Agreement, abcheck.AtMostOnce)},
 	}
-	res, err := c.Run()
+	res, err := c.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +105,11 @@ func TestCampaignDeterministic(t *testing.T) {
 		Seed:       7,
 		FaultKinds: []FaultKind{ViewFlip, ClockGlitch, Mute},
 	}
-	a, err := c.Run()
+	a, err := c.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.Run()
+	b, err := c.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,6 +120,80 @@ func TestCampaignDeterministic(t *testing.T) {
 	for i := range a.Findings {
 		if a.Findings[i].Verdict.Digest != b.Findings[i].Verdict.Digest {
 			t.Errorf("finding %d digests differ", i)
+		}
+	}
+}
+
+// TestCampaignCancelInsideTrial cancels ctx from inside trial 0 — on the
+// first protocol event of its run, of its first shrink candidate and of
+// its final run — and requires the campaign to stop at the next frame
+// boundary: the interrupted trial adds no executions, no finding and no
+// progress, and the campaign returns ctx's error instead of running the
+// trial and its shrink to completion.
+func TestCampaignCancelInsideTrial(t *testing.T) {
+	const frames = 3
+	c := Campaign{
+		Base:       Script{Version: ScriptVersion, Protocol: "CAN", Nodes: 5, Frames: frames},
+		Trials:     3,
+		MaxFaults:  4,
+		FaultKinds: []FaultKind{ViewFlip},
+		Seed:       3,
+	}
+	// Count trial 0's events: its run, its shrink candidates, and the
+	// final run of the shrunk script.
+	events := 0
+	trial0 := c
+	trial0.Trials = 1
+	trial0.Events = obs.SinkFunc(func(obs.Event) { events++ })
+	full, err := trial0.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Findings) != 1 || full.Executions < 3 {
+		t.Fatalf("uncancelled trial 0: %d executions, findings %+v; want it to fail and shrink",
+			full.Executions, full.Findings)
+	}
+	trialEvents := events
+	count := func(s Script) int {
+		mem := obs.NewMemory()
+		if _, err := Run(context.Background(), s, Telemetry{Events: mem}); err != nil {
+			t.Fatal(err)
+		}
+		return len(mem.Events())
+	}
+	runEvents := count(full.Findings[0].Original)
+	finalEvents := count(full.Findings[0].Shrunk)
+
+	for _, tc := range []struct {
+		cancelAt   int    // event that cancels ctx
+		framesSent uint64 // frames simulated up to the frame boundary that notices
+	}{
+		{1, 1},                      // the trial's run
+		{runEvents + 1, frames + 1}, // its first shrink candidate
+		{trialEvents - finalEvents + 1, frames*uint64(full.Executions-1) + 1}, // the final run
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		events = 0
+		progressed := false
+		c.Events = obs.SinkFunc(func(obs.Event) {
+			if events++; events == tc.cancelAt {
+				cancel()
+			}
+		})
+		c.Metrics = obs.NewMetrics()
+		c.OnTrial = func(int) { progressed = true }
+		c.OnProgress = func(CampaignProgress) { progressed = true }
+		res, err := c.Run(ctx)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel at event %d: err = %v, want context.Canceled", tc.cancelAt, err)
+		}
+		if res == nil || res.Executions != 0 || len(res.Findings) != 0 || progressed {
+			t.Fatalf("cancel at event %d: result %+v, progress reported %v; want nothing from trial 0",
+				tc.cancelAt, res, progressed)
+		}
+		if got := c.Metrics.Snapshot(0).FramesSent; got != tc.framesSent {
+			t.Errorf("cancel at event %d: %d frames simulated, want %d", tc.cancelAt, got, tc.framesSent)
 		}
 	}
 }
@@ -136,7 +213,7 @@ func TestReplayCheckedInArtifact(t *testing.T) {
 	if len(a.Script.Faults) > 3 {
 		t.Errorf("checked-in artifact has %d faults, want a shrunk script (<= 3)", len(a.Script.Faults))
 	}
-	rr, err := Replay(a, AB(abcheck.Agreement))
+	rr, err := Replay(context.Background(), a, Telemetry{}, AB(abcheck.Agreement))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,13 +236,13 @@ func TestReplayCheckedInArtifact(t *testing.T) {
 }
 
 func TestReplayDetectsTamperedVerdict(t *testing.T) {
-	r, err := Run(fig3aScript())
+	r, err := Run(context.Background(), fig3aScript(), Telemetry{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := Artifact{Script: fig3aScript(), Verdict: VerdictOf(r, DefaultProbes())}
 	a.Verdict.Digest = "0000000000000000"
-	rr, err := Replay(a)
+	rr, err := Replay(context.Background(), a, Telemetry{})
 	if err != nil {
 		t.Fatal(err)
 	}

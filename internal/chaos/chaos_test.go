@@ -28,7 +28,7 @@ func fig3aScript() Script {
 }
 
 func TestRunFig3aProducesIMO(t *testing.T) {
-	r, err := Run(fig3aScript())
+	r, err := Run(context.Background(), fig3aScript(), Telemetry{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,18 +47,20 @@ func TestRunFig3aProducesIMO(t *testing.T) {
 	}
 }
 
-func TestRunObservedContextCancellation(t *testing.T) {
+func TestRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunObservedContext(ctx, fig3aScript(), Telemetry{}); !errors.Is(err, context.Canceled) {
+	if _, err := Run(ctx, fig3aScript(), Telemetry{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled replay err = %v, want context.Canceled", err)
 	}
 	// A live context must not perturb the simulated outcome.
-	a, err := RunObservedContext(context.Background(), fig3aScript(), Telemetry{})
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	a, err := Run(live, fig3aScript(), Telemetry{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(fig3aScript())
+	b, err := Run(context.Background(), fig3aScript(), Telemetry{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,18 +70,18 @@ func TestRunObservedContextCancellation(t *testing.T) {
 }
 
 func TestRunDeterministicDigest(t *testing.T) {
-	a, err := Run(fig3aScript())
+	a, err := Run(context.Background(), fig3aScript(), Telemetry{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(fig3aScript())
+	b, err := Run(context.Background(), fig3aScript(), Telemetry{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Digest != b.Digest || a.Slots != b.Slots {
 		t.Errorf("same script digests %s/%d vs %s/%d", a.DigestHex, a.Slots, b.DigestHex, b.Slots)
 	}
-	clean, err := Run(fig3aScript().WithFaults(nil))
+	clean, err := Run(context.Background(), fig3aScript().WithFaults(nil), Telemetry{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +96,7 @@ func TestRunDeterministicDigest(t *testing.T) {
 func TestRunMajorCANDefeatsFig3a(t *testing.T) {
 	s := fig3aScript()
 	s.Protocol = "MajorCAN_5"
-	r, err := Run(s)
+	r, err := Run(context.Background(), s, Telemetry{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +115,7 @@ func TestStuckDominantJamRecovers(t *testing.T) {
 			{Kind: StuckDominant, Station: 3, Slot: 20, Until: 140},
 		},
 	}
-	r, err := Run(s)
+	r, err := Run(context.Background(), s, Telemetry{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +142,7 @@ func TestMuteWindowSuppressesStation(t *testing.T) {
 			{Kind: Mute, Station: 1, Slot: 0, Until: 500},
 		},
 	}
-	r, err := Run(s)
+	r, err := Run(context.Background(), s, Telemetry{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +165,7 @@ func TestBusOffScheduleWithAutoRecoverRejoins(t *testing.T) {
 			{Kind: BusOffKind, Station: 2, Slot: 30},
 		},
 	}
-	r, err := Run(s)
+	r, err := Run(context.Background(), s, Telemetry{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +194,7 @@ func TestCrashScheduleIsTerminal(t *testing.T) {
 			{Kind: Crash, Station: 1, Slot: 10},
 		},
 	}
-	r, err := Run(s)
+	r, err := Run(context.Background(), s, Telemetry{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,15 +209,15 @@ func TestCrashScheduleIsTerminal(t *testing.T) {
 
 func TestClockGlitchChangesDigestOnly(t *testing.T) {
 	base := Script{Version: ScriptVersion, Protocol: "CAN", Nodes: 3, Frames: 1}
-	clean, err := Run(base)
+	clean, err := Run(context.Background(), base, Telemetry{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A one-slot skew in the middle of the frame body: the sampled level
 	// differs whenever the bus toggled across the boundary.
-	glitched, err := Run(base.WithFaults([]Fault{
+	glitched, err := Run(context.Background(), base.WithFaults([]Fault{
 		{Kind: ClockGlitch, Station: 1, Slot: 15},
-	}))
+	}), Telemetry{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +240,7 @@ func TestShrinkFindsMinimalPair(t *testing.T) {
 	)
 	execs := 0
 	shrunk := Shrink(s, func(cand Script) bool {
-		r, err := Run(cand)
+		r, err := Run(context.Background(), cand, Telemetry{})
 		if err != nil {
 			return false
 		}
@@ -272,7 +274,7 @@ func TestShrinkFindsMinimalPair(t *testing.T) {
 	// 1-minimality: removing either remaining fault kills the failure.
 	for i := range shrunk.Faults {
 		rest := append(append([]Fault(nil), shrunk.Faults[:i]...), shrunk.Faults[i+1:]...)
-		r, err := Run(shrunk.WithFaults(rest))
+		r, err := Run(context.Background(), shrunk.WithFaults(rest), Telemetry{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,7 +335,7 @@ func TestParseProtocolRoundTrips(t *testing.T) {
 }
 
 func TestArtifactRoundTrip(t *testing.T) {
-	r, err := Run(fig3aScript())
+	r, err := Run(context.Background(), fig3aScript(), Telemetry{})
 	if err != nil {
 		t.Fatal(err)
 	}

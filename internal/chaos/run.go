@@ -15,7 +15,7 @@ import (
 )
 
 // Telemetry is optional observability for a script execution. Any field
-// may be nil/zero; a zero Telemetry makes RunObserved identical to Run.
+// may be nil/zero; a zero Telemetry runs a script without observability.
 type Telemetry struct {
 	// Events receives the protocol event stream, including the
 	// harness-level IMO classification events.
@@ -88,24 +88,15 @@ func (g glitchFault) Skew(slot uint64, station int) bool {
 }
 
 // Run executes a script deterministically and returns its full outcome.
-func Run(s Script) (*Result, error) {
-	return RunObserved(s, Telemetry{})
-}
-
-// RunObserved is Run with telemetry attached. Event emission goes through
-// a ring buffer drained between frames, so the sinks never sit on the
-// per-bit hot path and the simulated outcome (digest included) is
-// identical with and without telemetry.
-func RunObserved(s Script, t Telemetry) (*Result, error) {
-	return RunObservedContext(context.Background(), s, t)
-}
-
-// RunObservedContext is RunObserved with cancellation: ctx is checked
-// between frames and periodically through the post-traffic drain, so a
-// scheduler timeout or shutdown interrupts a replay promptly. A
-// cancelled run returns ctx's error and no partial result; ctx never
-// influences the simulated outcome of a run that completes.
-func RunObservedContext(ctx context.Context, s Script, t Telemetry) (*Result, error) {
+// Event emission goes through a ring buffer drained between frames, so
+// the sinks in t never sit on the per-bit hot path and the simulated
+// outcome (digest included) is identical with and without telemetry.
+// ctx is checked between frames and periodically through the
+// post-traffic drain, so a scheduler timeout or shutdown interrupts a
+// replay promptly. A cancelled run returns ctx's error and no partial
+// result; ctx never influences the simulated outcome of a run that
+// completes.
+func Run(ctx context.Context, s Script, t Telemetry) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}

@@ -175,8 +175,8 @@ type CampaignOutcome struct {
 
 // RunCampaignSpec executes a campaign spec with optional telemetry: the
 // entry point the simulation service's scheduler and the chaos CLI
-// share. Cancelling ctx stops the search between trials and surfaces
-// ctx's error.
+// share. Cancelling ctx stops the search, inside a trial if one is
+// running, and surfaces ctx's error.
 func RunCampaignSpec(ctx context.Context, spec CampaignSpec, t Telemetry, onTrial func(done int)) (*CampaignOutcome, error) {
 	return RunCampaignSpecResumable(ctx, spec, t, onTrial, nil, nil)
 }
@@ -198,7 +198,7 @@ func RunCampaignSpecResumable(ctx context.Context, spec CampaignSpec, t Telemetr
 	camp.OnTrial = onTrial
 	camp.Resume = resume
 	camp.OnProgress = onProgress
-	res, err := camp.RunContext(ctx)
+	res, err := camp.Run(ctx)
 	if err != nil {
 		return nil, err
 	}

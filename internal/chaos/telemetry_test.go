@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"strings"
@@ -34,7 +35,7 @@ func TestFig3aTelemetry(t *testing.T) {
 	mem := obs.NewMemory()
 	metrics := obs.NewMetrics()
 	rec := trace.NewRecorder()
-	rr, err := ReplayObserved(a, Telemetry{Events: mem, Metrics: metrics, Recorder: rec})
+	rr, err := Replay(context.Background(), a, Telemetry{Events: mem, Metrics: metrics, Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestCampaignMetrics(t *testing.T) {
 		Metrics:   metrics,
 		OnTrial:   func(done int) { trialsSeen = append(trialsSeen, done) },
 	}
-	res, err := c.Run()
+	res, err := c.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"io"
 
 	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 // JobCounters are the coordinator's logical-job admission and
@@ -76,13 +77,18 @@ func (c *Coordinator) Stats() Stats {
 	}
 }
 
-// WriteMetrics renders the fleet stats in Prometheus text exposition
-// format — the coordinator's GET /metrics surface. Coordinator-level
-// families carry the mc_fleet_ prefix; per-worker state is federated
-// into labelled series (one series per worker URL), so one scrape of
-// the coordinator covers the whole fleet's queue occupancy and
-// liveness. The output passes obs.LintProm, which CI enforces.
-func WriteMetrics(w io.Writer, st Stats) error {
+// WriteMetrics renders the coordinator's GET /metrics surface in
+// Prometheus text exposition format: the scheduler's own exposition
+// (serve.WriteMetrics of sched — jobs, cache, journal, storage and
+// latency, under the same names a single node serves), then the mc_fleet_
+// series only the coordinator knows. Per-worker state is federated into
+// labelled series (one series per worker URL), so one scrape of the
+// coordinator covers the whole fleet's queue occupancy and liveness. The
+// output passes obs.LintProm, which CI enforces.
+func WriteMetrics(w io.Writer, sched serve.Stats, st Stats) error {
+	if err := serve.WriteMetrics(w, sched); err != nil {
+		return err
+	}
 	p := obs.NewPromWriter(w)
 	b := func(v bool) float64 {
 		if v {
@@ -98,18 +104,6 @@ func WriteMetrics(w io.Writer, st Stats) error {
 		p.Family(name, "counter", help)
 		p.Sample(name, nil, float64(v))
 	}
-
-	gauge("mc_fleet_uptime_seconds", "Seconds since the coordinator started.", st.UptimeSeconds)
-	gauge("mc_fleet_draining", "1 while the coordinator refuses new work for shutdown.", b(st.Draining))
-
-	counter("mc_fleet_jobs_submitted_total", "Logical jobs admitted for execution (not cached or coalesced).", st.Jobs.Submitted)
-	counter("mc_fleet_jobs_coalesced_total", "Submissions merged into an identical in-flight logical job.", st.Jobs.Coalesced)
-	counter("mc_fleet_jobs_cached_total", "Submissions answered from the merged-result cache.", st.Jobs.Cached)
-	counter("mc_fleet_jobs_completed_total", "Logical jobs merged to completion.", st.Jobs.Completed)
-	counter("mc_fleet_jobs_failed_total", "Logical jobs that failed (shard failure, merge error or shutdown abort).", st.Jobs.Failed)
-	counter("mc_fleet_jobs_recovered_total", "Logical jobs replayed from the journal after a restart.", st.Jobs.Recovered)
-	counter("mc_fleet_jobs_rejected_busy_total", "Submissions 429'd because the coordinator's job queue was full.", st.Jobs.RejectedBusy)
-	counter("mc_fleet_jobs_rejected_draining_total", "Submissions rejected during drain.", st.Jobs.RejectedDraining)
 
 	counter("mc_fleet_shards_dispatched_total", "Shard dispatch attempts sent to workers.", st.Shards.Dispatched)
 	counter("mc_fleet_shards_reassigned_total", "Shards re-dispatched after losing their worker.", st.Shards.Reassigned)

@@ -66,7 +66,7 @@ func NewServer(c *Coordinator) http.Handler {
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
-		_ = WriteMetrics(w, c.Stats())
+		_ = WriteMetrics(w, c.Scheduler.Stats(), c.Stats())
 	})
 	return mux
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -102,8 +103,8 @@ func TestCoordinatorHTTPContract(t *testing.T) {
 	if err := obs.LintProm(bytes.NewReader(metrics)); err != nil {
 		t.Fatalf("coordinator /metrics fails lint: %v", err)
 	}
-	if !strings.Contains(string(metrics), "\nmc_fleet_jobs_completed_total 1\n") {
-		t.Fatalf("coordinator /metrics lacks mc_fleet_jobs_completed_total 1:\n%s", metrics)
+	if !strings.Contains(string(metrics), "\nmc_jobs_executed_total 1\n") {
+		t.Fatalf("coordinator /metrics lacks mc_jobs_executed_total 1:\n%s", metrics)
 	}
 
 	trace, err := client.Trace(ctx, resp.ID)
@@ -150,5 +151,51 @@ func TestCoordinatorHTTPContract(t *testing.T) {
 	other := `{"sweep":{"protocol":"majorcan_5","nodes":5,"frames":60,"berStar":0.02,"seed":99,"seeds":8,"eofOnly":true,"resetCounters":true}}`
 	if _, err := client.Submit(ctx, decodeSpec(t, other), 0); !errors.As(err, &ae) || ae.Code != http.StatusServiceUnavailable {
 		t.Fatalf("submit during drain: err = %v, want 503", err)
+	}
+}
+
+// TestCoordinatorMetricsIncludeScheduler pins the coordinator's /metrics
+// as the scheduler's exposition plus the fleet-only series: a journaled
+// coordinator reports its journal and storage state like a single node,
+// and no family is declared twice.
+func TestCoordinatorMetricsIncludeScheduler(t *testing.T) {
+	w, _ := newWorker(t, nil)
+	coord, err := NewCoordinator(Config{
+		Workers:     []string{w},
+		JournalPath: filepath.Join(t.TempDir(), "journal.wal"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Stop)
+	ts := httptest.NewServer(NewServer(coord))
+	t.Cleanup(ts.Close)
+	metrics, err := serve.NewClient(ts.URL).MetricsText(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.LintProm(bytes.NewReader(metrics)); err != nil {
+		t.Fatalf("coordinator /metrics fails lint: %v", err)
+	}
+	types := make(map[string]int)
+	for _, line := range strings.Split(string(metrics), "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			types[strings.Fields(name)[0]]++
+		}
+	}
+	for name, n := range types {
+		if n > 1 {
+			t.Errorf("family %s declared %d times", name, n)
+		}
+	}
+	for _, want := range []string{
+		"\nmc_journal_enabled 1\n",
+		"\nmc_storage_degraded{store=\"journal\"} 0\n",
+		"\nmc_fleet_workers 1\n",
+		"\nmc_fleet_shards_dispatched_total 0\n",
+	} {
+		if !strings.Contains(string(metrics), want) {
+			t.Errorf("coordinator /metrics lacks %q:\n%s", strings.TrimSpace(want), metrics)
+		}
 	}
 }

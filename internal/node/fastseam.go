@@ -132,16 +132,18 @@ type encKey struct {
 	eofBits int
 }
 
-// encCacheCap bounds the per-controller encode cache; workloads cycle
-// through a small set of payloads, so the bound exists only to keep a
-// pathological stream of distinct frames from growing the map without
-// limit.
+// encCacheCap bounds the per-controller encode cache. Monte Carlo and
+// RunWorkload frames each carry a fresh sequence number (sim.Payload),
+// so there the cache hits only on retransmissions, and every frame adds
+// an entry; the bound keeps such a stream of distinct frames from
+// growing the map without limit. A full cache is cleared whole, not
+// evicted entry by entry.
 const encCacheCap = 256
 
 // cachedEncode returns the frame's on-the-wire encoding, memoising by
 // frame content: retransmissions re-enter beginFrame once per attempt,
-// and workload frames repeat, so the stuffing pass runs once per
-// distinct (id, dlc, data, eofBits) instead of once per attempt.
+// so the stuffing pass runs once per distinct (id, dlc, data, eofBits)
+// instead of once per attempt.
 // The cached encoding is shared and read-only (the controller only
 // indexes Bits and Refs).
 func (c *Controller) cachedEncode(f *frame.Frame, eofBits int) (*frame.Encoding, error) {

@@ -198,13 +198,6 @@ func NewJSONLStream(w io.Writer, run int64, onLine func()) *JSONLWriter {
 	return j
 }
 
-// SetRun changes the run tag for subsequent lines.
-func (j *JSONLWriter) SetRun(run int64) {
-	j.mu.Lock()
-	j.run = run
-	j.mu.Unlock()
-}
-
 // Emit implements Sink.
 func (j *JSONLWriter) Emit(e Event) {
 	j.mu.Lock()

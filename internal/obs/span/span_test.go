@@ -2,6 +2,7 @@ package span_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"math/rand"
@@ -30,7 +31,7 @@ func fig3aEvents(t *testing.T) []obs.Event {
 		t.Fatal(err)
 	}
 	mem := obs.NewMemory()
-	rr, err := chaos.ReplayObserved(a, chaos.Telemetry{Events: mem})
+	rr, err := chaos.Replay(context.Background(), a, chaos.Telemetry{Events: mem})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestWriteDeterministic(t *testing.T) {
 // and an error-flag/retransmit cycle between the attempts.
 func TestProtocolSynthesis(t *testing.T) {
 	mem := obs.NewMemory()
-	if _, err := chaos.RunObserved(chaos.Script{
+	if _, err := chaos.Run(context.Background(), chaos.Script{
 		Version:  chaos.ScriptVersion,
 		Protocol: "can",
 		Nodes:    3,

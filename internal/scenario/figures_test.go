@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -335,7 +336,7 @@ func TestFig3aIsAVerifyPattern(t *testing.T) {
 	if want != "s0@7 s1@6 s2@6" {
 		t.Fatalf("Fig. 3a pattern = %q", want)
 	}
-	rep, err := verify.Exhaustive(verify.Config{
+	rep, _, err := verify.Exhaustive(context.Background(), verify.Config{
 		Policy:      policy,
 		Stations:    defaultNodes,
 		MaxFlips:    3,

@@ -137,7 +137,7 @@ func Execute(ctx context.Context, spec *JobSpec, opt ExecOptions) (json.RawMessa
 		out, err = verify.RunSpec(ctx, *spec.Verify, opt.Parallelism)
 	case KindScript:
 		var r *chaos.Result
-		r, err = chaos.RunObservedContext(ctx, *spec.Script, chaos.Telemetry{Events: opt.Events, Metrics: opt.Metrics})
+		r, err = chaos.Run(ctx, *spec.Script, chaos.Telemetry{Events: opt.Events, Metrics: opt.Metrics})
 		if err == nil {
 			out = &ScriptOutcome{
 				Script:     *spec.Script,

@@ -57,8 +57,8 @@ func outcomeOf(p SweepPoint) PointOutcome {
 }
 
 // SummarizeOutcomes folds serialised point outcomes into the sweep
-// summary — the same totals Summarize derives from live points, so a
-// resumed sweep's summary equals the uninterrupted one's.
+// summary. Outcomes carry everything the totals need, so a resumed
+// sweep's summary equals the uninterrupted one's.
 func SummarizeOutcomes(points []PointOutcome) SweepSummary {
 	var s SweepSummary
 	for _, p := range points {
@@ -118,7 +118,7 @@ func RunSweepSpecResumable(ctx context.Context, spec SweepSpec, parallelism int,
 				return tel(base+i, seed)
 			}
 		}
-		points := SweepSeedsObserved(ctx, cfg, seeds[base:end], parallelism, batchTel)
+		points := SweepSeeds(ctx, cfg, seeds[base:end], parallelism, batchTel)
 		cancelled := false
 		for _, p := range points {
 			if p.Err != nil {

@@ -22,7 +22,7 @@ func sweepJSONL(t *testing.T, cfg sim.MCConfig, seeds []int64, parallelism int) 
 	tel := func(i int, _ int64) (obs.Sink, *obs.Metrics) {
 		return mems[i], metrics.Fork()
 	}
-	points := sim.SweepSeedsObserved(context.Background(), cfg, seeds, parallelism, tel)
+	points := sim.SweepSeeds(context.Background(), cfg, seeds, parallelism, tel)
 	for _, p := range points {
 		if p.Err != nil {
 			t.Fatalf("seed %d: %v", p.Seed, p.Err)

@@ -76,7 +76,7 @@ func CompareEngines(ctx context.Context, spec SweepSpec, parallelism int) (*Engi
 			mems[i] = obs.NewMemory()
 		}
 		tel := func(i int, _ int64) (obs.Sink, *obs.Metrics) { return mems[i], nil }
-		pts := SweepSeedsObserved(ctx, c, seeds, parallelism, tel)
+		pts := SweepSeeds(ctx, c, seeds, parallelism, tel)
 		for _, p := range pts {
 			if p.Err != nil {
 				return nil, nil, fmt.Errorf("sim: engine %q seed %d: %w", choice, p.Seed, p.Err)

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -33,27 +32,20 @@ type SweepPoint struct {
 // number of concurrent simulations (values < 1 mean 1). Every simulation
 // is fully independent — the simulator shares no mutable state between
 // clusters — so the sweep is deterministic regardless of scheduling.
-func SweepSeeds(cfg MCConfig, seeds []int64, parallelism int) []SweepPoint {
-	return SweepSeedsContext(context.Background(), cfg, seeds, parallelism)
-}
-
-// SweepSeedsContext is SweepSeeds with cancellation: points not yet started
-// when ctx is cancelled are skipped and carry ctx's error, while running
-// points complete normally, so a partial aggregate remains valid.
+//
+// Points not yet started when ctx is cancelled are skipped and carry
+// ctx's error, while running points complete normally, so a partial
+// aggregate remains valid.
 //
 // When cfg.Disturber is nil and cfg.GlobalModel is false, each point gets a
 // per-worker fork of one shared errmodel.Random seeded with the point's
 // seed — the same stream MonteCarlo would construct itself — so the shared
 // parent's Flips() can be read live while the sweep runs.
-func SweepSeedsContext(ctx context.Context, cfg MCConfig, seeds []int64, parallelism int) []SweepPoint {
-	return SweepSeedsObserved(ctx, cfg, seeds, parallelism, nil)
-}
-
-// SweepSeedsObserved is SweepSeedsContext with per-point telemetry: when
-// tel is non-nil it is called once per point (before the point starts)
-// and the returned sink/registry replace cfg.Events/cfg.Metrics for that
-// point's run.
-func SweepSeedsObserved(ctx context.Context, cfg MCConfig, seeds []int64, parallelism int, tel PointTelemetry) []SweepPoint {
+//
+// When tel is non-nil it is called once per point (before the point
+// starts) and the returned sink/registry replace cfg.Events/cfg.Metrics
+// for that point's run.
+func SweepSeeds(ctx context.Context, cfg MCConfig, seeds []int64, parallelism int, tel PointTelemetry) []SweepPoint {
 	if parallelism < 1 {
 		parallelism = 1
 	}
@@ -104,7 +96,7 @@ type SweepSummary struct {
 	IMOs       int    `json:"imos"`
 	Duplicates int    `json:"duplicates"`
 	Flips      uint64 `json:"flips"`
-	Errors     int    `json:"errors"`    // points that failed to run
+	Errors     int    `json:"errors"`    // always 0: a point that fails to run fails the sweep; kept in the wire format
 	Cancelled  int    `json:"cancelled"` // points skipped because the sweep was cancelled
 }
 
@@ -127,27 +119,4 @@ func (s SweepSummary) DuplicateRate() float64 {
 func (s SweepSummary) String() string {
 	return fmt.Sprintf("%d points, %d frames: %d IMOs (%.3e/frame), %d duplicates (%.3e/frame)",
 		s.Points, s.Frames, s.IMOs, s.IMORate(), s.Duplicates, s.DuplicateRate())
-}
-
-// Summarize folds sweep points into totals. Cancelled points count towards
-// Cancelled, not Errors, so a partial aggregate after an interrupt is
-// distinguishable from a broken configuration.
-func Summarize(points []SweepPoint) SweepSummary {
-	var s SweepSummary
-	for _, p := range points {
-		s.Points++
-		if p.Err != nil || p.Result == nil {
-			if errors.Is(p.Err, context.Canceled) || errors.Is(p.Err, context.DeadlineExceeded) {
-				s.Cancelled++
-			} else {
-				s.Errors++
-			}
-			continue
-		}
-		s.Frames += p.Result.FramesSent
-		s.IMOs += p.Result.IMOs
-		s.Duplicates += p.Result.Duplicates
-		s.Flips += p.Result.BitFlips
-	}
-	return s
 }

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -22,8 +23,8 @@ func sweepConfig() sim.MCConfig {
 
 func TestSweepDeterministicPerSeed(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5, 6}
-	a := sim.SweepSeeds(sweepConfig(), seeds, 4)
-	b := sim.SweepSeeds(sweepConfig(), seeds, 1)
+	a := sim.SweepSeeds(context.Background(), sweepConfig(), seeds, 4, nil)
+	b := sim.SweepSeeds(context.Background(), sweepConfig(), seeds, 1, nil)
 	if len(a) != len(seeds) || len(b) != len(seeds) {
 		t.Fatalf("point counts %d/%d, want %d", len(a), len(b), len(seeds))
 	}
@@ -43,10 +44,15 @@ func TestSweepDeterministicPerSeed(t *testing.T) {
 }
 
 func TestSweepSummary(t *testing.T) {
-	seeds := []int64{10, 11, 12, 13}
-	points := sim.SweepSeeds(sweepConfig(), seeds, 2)
-	s := sim.Summarize(points)
-	if s.Points != 4 || s.Errors != 0 {
+	out, err := sim.RunSweepSpec(context.Background(), sim.SweepSpec{
+		Protocol: "can", Nodes: 4, Frames: 60, BerStar: 0.02, Seed: 10, Seeds: 4,
+		EOFOnly: true, ResetCounters: true,
+	}, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := out.Summary
+	if s.Points != 4 || s.Errors != 0 || s.Cancelled != 0 {
 		t.Fatalf("summary %+v", s)
 	}
 	if s.Frames != 4*60 {
@@ -63,15 +69,16 @@ func TestSweepSummary(t *testing.T) {
 func TestSweepPropagatesErrors(t *testing.T) {
 	bad := sweepConfig()
 	bad.Nodes = 2 // invalid
-	points := sim.SweepSeeds(bad, []int64{1, 2}, 2)
-	s := sim.Summarize(points)
-	if s.Errors != 2 {
-		t.Errorf("errors = %d, want 2", s.Errors)
+	points := sim.SweepSeeds(context.Background(), bad, []int64{1, 2}, 2, nil)
+	for _, p := range points {
+		if p.Err == nil || p.Result != nil {
+			t.Errorf("seed %d: err %v, result %v; want a configuration error", p.Seed, p.Err, p.Result)
+		}
 	}
 }
 
 func TestSweepParallelismClamp(t *testing.T) {
-	points := sim.SweepSeeds(sweepConfig(), []int64{1}, 0) // clamped to 1
+	points := sim.SweepSeeds(context.Background(), sweepConfig(), []int64{1}, 0, nil) // clamped to 1
 	if len(points) != 1 || points[0].Err != nil {
 		t.Fatalf("points %+v", points)
 	}
@@ -81,21 +88,28 @@ func TestSweepCancelledContextSkipsPoints(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	seeds := []int64{1, 2, 3}
-	points := sim.SweepSeedsContext(ctx, sweepConfig(), seeds, 2)
+	points := sim.SweepSeeds(ctx, sweepConfig(), seeds, 2, nil)
 	if len(points) != len(seeds) {
 		t.Fatalf("got %d points, want %d", len(points), len(seeds))
 	}
-	s := sim.Summarize(points)
-	if s.Cancelled != len(seeds) || s.Errors != 0 {
-		t.Errorf("summary %+v, want all %d points cancelled", s, len(seeds))
+	for _, p := range points {
+		if !errors.Is(p.Err, context.Canceled) {
+			t.Errorf("seed %d: err %v, want context.Canceled", p.Seed, p.Err)
+		}
 	}
 }
 
 func TestSweepSharedFlipCounter(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4}
-	points := sim.SweepSeeds(sweepConfig(), seeds, 2)
-	s := sim.Summarize(points)
-	if s.Flips == 0 {
+	points := sim.SweepSeeds(context.Background(), sweepConfig(), seeds, 2, nil)
+	var flips uint64
+	for _, p := range points {
+		if p.Err != nil {
+			t.Fatalf("seed %d: %v", p.Seed, p.Err)
+		}
+		flips += p.Result.BitFlips
+	}
+	if flips == 0 {
 		t.Fatal("sweep at ber*=0.02 must record bit flips")
 	}
 	// The per-point flips come from forks of one shared parent; they must

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -12,7 +13,7 @@ import (
 // that proof: every single-flip pattern combined with every
 // crash-at-first-signal placement.
 func TestMinorCANSingleErrorWithCrashesExhaustive(t *testing.T) {
-	rep, err := Exhaustive(Config{
+	rep, _, err := Exhaustive(context.Background(), Config{
 		Policy:     core.NewMinorCAN(),
 		Stations:   4,
 		MaxFlips:   1,
@@ -31,7 +32,7 @@ func TestMinorCANSingleErrorWithCrashesExhaustive(t *testing.T) {
 // Fig. 1c omission (single flip at the last-but-one bit + transmitter
 // crash).
 func TestStandardCANCrashOmissionExists(t *testing.T) {
-	rep, err := Exhaustive(Config{
+	rep, _, err := Exhaustive(context.Background(), Config{
 		Policy:     core.NewStandard(),
 		Stations:   4,
 		MaxFlips:   1,
@@ -57,7 +58,7 @@ func TestStandardCANCrashOmissionExists(t *testing.T) {
 // behaviour". This exhaustive pass checks the claim for one error + one
 // crash and documents what it finds (see DESIGN.md if violations appear).
 func TestMajorCAN5SingleErrorWithCrashesExhaustive(t *testing.T) {
-	rep, err := Exhaustive(Config{
+	rep, _, err := Exhaustive(context.Background(), Config{
 		Policy:     core.MustMajorCAN(5),
 		Stations:   4,
 		MaxFlips:   1,

@@ -107,7 +107,7 @@ func TestBinomialChecked(t *testing.T) {
 // PatternsBy and violations, at every worker count.
 func TestWindowsConcatenate(t *testing.T) {
 	cfg := Config{Policy: core.NewStandard(), Stations: 4, MaxFlips: 2, CrashSweep: true}
-	whole, err := Exhaustive(cfg)
+	whole, _, err := Exhaustive(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestWindowsConcatenate(t *testing.T) {
 				w := cfg
 				w.Parallelism = par
 				w.PatternStart, w.PatternCount = cuts[i], cuts[i+1]-cuts[i]
-				rep, err := Exhaustive(w)
+				rep, _, err := Exhaustive(context.Background(), w)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -104,7 +105,7 @@ func TestExhaustiveMatchesFreshClusters(t *testing.T) {
 		for _, crash := range []bool{false, true} {
 			cfg := Config{Policy: c.policy, MaxFlips: c.k, CrashSweep: crash, Parallelism: 2}
 			t.Run(fmt.Sprintf("%s/k%d/crash=%v", c.policy.Name(), c.k, crash), func(t *testing.T) {
-				got, err := Exhaustive(cfg)
+				got, _, err := Exhaustive(context.Background(), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

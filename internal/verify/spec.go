@@ -145,7 +145,7 @@ func RunSpec(ctx context.Context, spec Spec, parallelism int) (*SpecOutcome, err
 	if err != nil {
 		return nil, err
 	}
-	rep, err := ExhaustiveContext(ctx, cfg)
+	rep, _, err := Exhaustive(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -194,12 +194,6 @@ func (r *Report) Summary() string {
 	return b.String()
 }
 
-// Exhaustive enumerates every pattern of 1..MaxFlips flips over the
-// decision region and simulates each one.
-func Exhaustive(cfg Config) (*Report, error) {
-	return ExhaustiveContext(context.Background(), cfg)
-}
-
 // PatternSpace returns the size of cfg's pattern enumeration — the
 // number of flip combinations of size 1..MaxFlips over the
 // Stations×positions fault sites, before any PatternStart/PatternCount
@@ -218,25 +212,21 @@ func (c Config) PatternSpace() (int, error) {
 	return space, nil
 }
 
-// ExhaustiveContext is Exhaustive with cancellation: when ctx is
-// cancelled the enumeration stops early and the partial report is
-// returned alongside ctx's error, so a server drain or per-job timeout
-// ends a long verification promptly.
+// Exhaustive enumerates every pattern of 1..MaxFlips flips over the
+// decision region and simulates each one. When ctx is cancelled the
+// enumeration stops early and the partial report is returned alongside
+// ctx's error, so a server drain or per-job timeout ends a long
+// verification promptly.
 //
 // Workers claim contiguous chunks of the window. A worker unranks its
 // chunk's first index and steps through the rest with the successor
 // function, so a window costs the same wherever it starts; each worker
 // runs every pattern on its own sim.FrameRunner, which restores the
-// undisturbed pre-EOF prefix instead of simulating it again.
-func ExhaustiveContext(ctx context.Context, cfg Config) (*Report, error) {
-	rep, _, err := ExhaustiveStats(ctx, cfg)
-	return rep, err
-}
-
-// ExhaustiveStats is ExhaustiveContext that also returns the workers'
-// summed suffix-memo counters (sim.FrameRunner). The counters describe
-// the execution, not the verdict: they depend on the worker count.
-func ExhaustiveStats(ctx context.Context, cfg Config) (*Report, sim.MemoStats, error) {
+// undisturbed pre-EOF prefix instead of simulating it again. The
+// returned sim.MemoStats sums the workers' suffix-memo counters; they
+// describe the execution, not the verdict, and depend on the worker
+// count.
+func Exhaustive(ctx context.Context, cfg Config) (*Report, sim.MemoStats, error) {
 	var stats sim.MemoStats
 	if cfg.Stations == 0 {
 		cfg.Stations = 4

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -11,7 +12,7 @@ import (
 // region ("it can be proven, by checking all the possible cases, that
 // MinorCAN achieves consistency"). This is that check, mechanised.
 func TestMinorCANSingleErrorExhaustive(t *testing.T) {
-	rep, err := Exhaustive(Config{
+	rep, _, err := Exhaustive(context.Background(), Config{
 		Policy:   core.NewMinorCAN(),
 		Stations: 4,
 		MaxFlips: 1,
@@ -31,7 +32,7 @@ func TestMinorCANSingleErrorExhaustive(t *testing.T) {
 // purpose) — double receptions and omissions need at least two flips or a
 // crash.
 func TestStandardCANSingleErrorExhaustive(t *testing.T) {
-	rep, err := Exhaustive(Config{
+	rep, _, err := Exhaustive(context.Background(), Config{
 		Policy:   core.NewStandard(),
 		Stations: 4,
 		MaxFlips: 1,
@@ -55,7 +56,7 @@ func TestStandardCANSingleErrorExhaustive(t *testing.T) {
 // The exhaustive two-flip fault space of standard CAN contains the paper's
 // Fig. 3a omission pattern.
 func TestStandardCANTwoErrorOmissionsExist(t *testing.T) {
-	rep, err := Exhaustive(Config{
+	rep, _, err := Exhaustive(context.Background(), Config{
 		Policy:   core.NewStandard(),
 		Stations: 4,
 		MaxFlips: 2,
@@ -93,7 +94,7 @@ func TestStandardCANTwoErrorOmissionsExist(t *testing.T) {
 // MinorCAN's two-flip fault space contains omissions (Fig. 3b) — the
 // paper's reason for abandoning it.
 func TestMinorCANTwoErrorOmissionsExist(t *testing.T) {
-	rep, err := Exhaustive(Config{
+	rep, _, err := Exhaustive(context.Background(), Config{
 		Policy:   core.NewMinorCAN(),
 		Stations: 4,
 		MaxFlips: 2,
@@ -117,7 +118,7 @@ func TestMinorCANTwoErrorOmissionsExist(t *testing.T) {
 // whole decision region (positions 1..3m+5, all stations) contains no
 // inconsistency. Note two flips are exactly what defeats CAN and MinorCAN.
 func TestMajorCAN5TwoErrorExhaustive(t *testing.T) {
-	rep, err := Exhaustive(Config{
+	rep, _, err := Exhaustive(context.Background(), Config{
 		Policy:   core.MustMajorCAN(5),
 		Stations: 4,
 		MaxFlips: 2,
@@ -137,7 +138,7 @@ func TestMajorCAN3ThreeErrorExhaustive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive k=3 space in -short mode")
 	}
-	rep, err := Exhaustive(Config{
+	rep, _, err := Exhaustive(context.Background(), Config{
 		Policy:   core.MustMajorCAN(3),
 		Stations: 3,
 		MaxFlips: 3,
@@ -155,7 +156,7 @@ func TestMajorCAN3ThreeErrorExhaustive(t *testing.T) {
 // <=2-flip space stays consistent across bus sizes.
 func TestMajorCAN5TwoErrorExhaustiveAcrossBusSizes(t *testing.T) {
 	for _, stations := range []int{3, 5, 6} {
-		rep, err := Exhaustive(Config{
+		rep, _, err := Exhaustive(context.Background(), Config{
 			Policy:   core.MustMajorCAN(5),
 			Stations: stations,
 			MaxFlips: 2,
@@ -171,10 +172,10 @@ func TestMajorCAN5TwoErrorExhaustiveAcrossBusSizes(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := Exhaustive(Config{Policy: core.NewStandard(), Stations: 2, MaxFlips: 1}); err == nil {
+	if _, _, err := Exhaustive(context.Background(), Config{Policy: core.NewStandard(), Stations: 2, MaxFlips: 1}); err == nil {
 		t.Error("too few stations must be rejected")
 	}
-	if _, err := Exhaustive(Config{Policy: core.NewStandard(), Stations: 4, MaxFlips: 0}); err == nil {
+	if _, _, err := Exhaustive(context.Background(), Config{Policy: core.NewStandard(), Stations: 4, MaxFlips: 0}); err == nil {
 		t.Error("zero flips must be rejected")
 	}
 }

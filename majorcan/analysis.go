@@ -1,6 +1,7 @@
 package majorcan
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/analytic"
@@ -106,7 +107,7 @@ func VerifyExhaustive(p Protocol, stations, maxFlips int) (report string, consis
 	if !p.valid() {
 		return "", false, fmt.Errorf("majorcan: protocol not set")
 	}
-	rep, err := verify.Exhaustive(verify.Config{
+	rep, _, err := verify.Exhaustive(context.Background(), verify.Config{
 		Policy:   p.policy,
 		Stations: stations,
 		MaxFlips: maxFlips,

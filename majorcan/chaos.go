@@ -1,6 +1,7 @@
 package majorcan
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/chaos"
@@ -82,7 +83,7 @@ func RunChaosCampaign(cfg ChaosCampaignConfig) ([]ChaosFinding, error) {
 		Seed:        cfg.Seed,
 		StopAtFirst: cfg.StopAtFirst,
 	}
-	res, err := c.Run()
+	res, err := c.Run(context.Background())
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +115,7 @@ func ReplayChaosArtifact(artifact []byte) (violations []string, matches bool, er
 	if err != nil {
 		return nil, false, err
 	}
-	rr, err := chaos.Replay(a)
+	rr, err := chaos.Replay(context.Background(), a, chaos.Telemetry{})
 	if err != nil {
 		return nil, false, err
 	}
