@@ -337,12 +337,18 @@ func campaign(ctx context.Context, spec chaos.CampaignSpec, outDir string, jsonO
 	if prog != nil {
 		prog.Stop()
 	}
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			fmt.Fprintln(os.Stderr, "chaos: campaign interrupted; partial results discarded")
+	// An interrupted campaign still returns the trials it completed:
+	// write their findings and report them, then exit 130.
+	interrupted := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	if err != nil && (!interrupted || res == nil) {
+		fail("%v", err)
+	}
+	finish := func() {
+		if interrupted {
+			fmt.Fprintf(os.Stderr, "chaos: campaign interrupted after %d of %d trials; completed findings kept\n", res.Trials, spec.Trials)
 			exit(130)
 		}
-		fail("%v", err)
+		exit(0)
 	}
 	t.flush(0)
 	if outDir != "" {
@@ -366,7 +372,7 @@ func campaign(ctx context.Context, spec chaos.CampaignSpec, outDir string, jsonO
 		if err := enc.Encode(res); err != nil {
 			fail("%v", err)
 		}
-		exit(0)
+		finish()
 	}
 	fmt.Printf("campaign: %d trials, %d simulator executions, %d findings\n",
 		res.Trials, res.Executions, len(res.Findings))
@@ -380,5 +386,5 @@ func campaign(ctx context.Context, spec chaos.CampaignSpec, outDir string, jsonO
 			fmt.Printf("  -> %s\n", v)
 		}
 	}
-	exit(0)
+	finish()
 }

@@ -18,6 +18,11 @@ type CRC15 struct {
 	reg uint16
 }
 
+// CRC15Of returns the register that pushing a sequence whose CRC is sum
+// leaves behind: the register is the running CRC, so continuing from it
+// is the same as continuing from that sequence.
+func CRC15Of(sum uint16) CRC15 { return CRC15{reg: sum & crcMask} }
+
 // Reset clears the CRC register (start-of-frame state).
 func (c *CRC15) Reset() { c.reg = 0 }
 

@@ -76,15 +76,6 @@ func (s *Stuffer) Push(l Level) (stuff Level, ok bool) {
 	return 0, false
 }
 
-// Pending reports whether the next transmitted bit must be a stuff bit.
-// It is equivalent to the ok result of the previous Push.
-func (s *Stuffer) Pending() bool {
-	// After Push returned a stuff bit the run was reset, so there is never a
-	// "pending" state observable between Push calls; this helper exists for
-	// transmitters that interleave other logic between bits.
-	return false
-}
-
 // BitKind classifies a received bit in a stuffed field.
 type BitKind uint8
 
@@ -158,6 +149,25 @@ func (d *Destuffer) Push(l Level) (BitKind, error) {
 		d.expectInv = true
 	}
 	return DataBit, nil
+}
+
+// DestufferAfter returns the destuffer state after Push has consumed the
+// well-formed stuffed sequence seq (no run of more than five equal bits,
+// every stuff bit in place) from its start-of-frame state. Only the
+// trailing run matters: a stuff bit is the complement of the bit before
+// it, so the run of equal levels ending seq is exactly the destuffer's
+// count, and a run of five means the next bit must be a stuff bit. The
+// cost is the run's length (at most five), not len(seq).
+func DestufferAfter(seq Sequence) Destuffer {
+	if len(seq) == 0 {
+		return Destuffer{}
+	}
+	last := seq[len(seq)-1]
+	run := 1
+	for i := len(seq) - 2; i >= 0 && seq[i] == last && run < MaxEqualBits; i-- {
+		run++
+	}
+	return Destuffer{last: last, count: run, expectInv: run == MaxEqualBits}
 }
 
 // NextIsStuff reports whether the next received bit is expected to be a

@@ -239,3 +239,29 @@ func TestDestufferReset(t *testing.T) {
 		t.Error("sixth equal bit after reset must be a stuff error")
 	}
 }
+
+// DestufferAfter of every prefix of a stuffed sequence is the state
+// pushing that prefix bit by bit leaves, stuff bits and runs of five at
+// the prefix's end included.
+func TestDestufferAfterMatchesPushes(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		in := randomSequence(r, r.Intn(150))
+		if trial%4 == 0 {
+			in = mustParse(t, "dddddddddd")
+		}
+		stuffed := Stuff(in)
+		var ds Destuffer
+		for i, l := range stuffed {
+			if _, err := ds.Push(l); err != nil {
+				t.Fatal(err)
+			}
+			if got := DestufferAfter(stuffed[:i+1]); got != ds {
+				t.Fatalf("DestufferAfter(%s) = %+v, pushes give %+v", stuffed[:i+1].Compact(), got, ds)
+			}
+		}
+	}
+	if got := DestufferAfter(nil); got != (Destuffer{}) {
+		t.Errorf("DestufferAfter(nil) = %+v, want the start-of-frame state", got)
+	}
+}

@@ -252,7 +252,8 @@ func (n *Network) SetEmitter(sink obs.Sink) {
 // only. This is sound for quiescence-style conditions because a
 // conforming engine never batches across a slot in which the bus could
 // become quiescent (see internal/bus/fastpath: fast-forward windows
-// always contain an in-frame transmitter).
+// always contain an in-frame transmitter, and quiet windows end one slot
+// before any station's next state transition).
 func (n *Network) SetEngine(e Engine) {
 	n.engine = e
 }
@@ -302,17 +303,14 @@ func (n *Network) CommitSlot(level bitstream.Level) {
 	}
 }
 
-// SkipSlots records the completion of the batch-executed bit slots
-// whose bus levels were win (non-empty), like one CommitSlot per level.
-// Part of the engine seam, like CommitSlot.
-func (n *Network) SkipSlots(win bitstream.Sequence) {
-	for _, level := range win {
-		if level == bitstream.Dominant {
-			n.busy++
-		}
-	}
-	n.prevLevel = win[len(win)-1]
-	n.slot += uint64(len(win))
+// SkipSlots records slots (>= 1) bit slots executed in a batch, dominant
+// of them with a dominant bus level and the last one at level last, as
+// that many CommitSlot calls would. Part of the engine seam, like
+// CommitSlot.
+func (n *Network) SkipSlots(slots, dominant uint64, last bitstream.Level) {
+	n.prevLevel = last
+	n.slot += slots
+	n.busy += dominant
 }
 
 // Slot returns the index of the next bit slot to be simulated.

@@ -1,6 +1,6 @@
 // Package fastpath is the fast bit-slot engine (DESIGN.md §15): a
 // drop-in bus.Engine that executes the same simulation the reference
-// Network.Step loop does, bit-identically, but faster. It has three
+// Network.Step loop does, bit-identically, but faster. It has four
 // layers:
 //
 //   - a packed per-slot core: drive levels collapse into one uint64 word
@@ -18,7 +18,17 @@
 //     replayed in a batch up to (excluding) the ACK slot. Receivers
 //     whose receive pipeline mirrors the transmitter's skip their
 //     per-bit latches entirely and adopt the transmitter's pipeline at
-//     the window end;
+//     the window end; a window that reaches the ACK slot sets the
+//     transmitter's own pipeline from its frame in constant time
+//     instead of replaying the window's bits;
+//
+//   - quiet windows: while every station sits in a stretch it leaves
+//     only by a transition a known number of slots ahead (a delimiter
+//     past its first recessive bit, intermission, suspend) or not at all
+//     (idle with an empty queue, disconnected without recovery), the bus
+//     is recessive and nothing but counters moves; the engine latches
+//     the stretch in one batch up to one slot before the first
+//     transition or firing draw;
 //
 //   - eligibility fallback: anything the fast core does not model
 //     exactly — probes, output faults, sample skews, scripted or unknown
@@ -35,14 +45,16 @@
 // stations latch in station order with the exact levels the reference
 // would sample, RNG streams advance through the same errmodel draw
 // primitives in the same (slot, station, disturber) order, frame-start
-// events replicate the reference edge scan, and fast-forward windows
-// end before any slot whose outcome could depend on a draw or a
-// non-transmitter drive. The differential oracle in this package's
-// tests checks byte-identical event streams, verdicts and sweep digests
-// against the reference engine.
+// events replicate the reference edge scan, fast-forward windows end
+// before any slot whose outcome could depend on a draw or a
+// non-transmitter drive, and quiet windows end before any slot that
+// changes a station's state or holds a firing draw. The differential
+// oracle in this package's tests checks byte-identical event streams,
+// verdicts and sweep digests against the reference engine.
 package fastpath
 
 import (
+	"math"
 	"math/bits"
 
 	"repro/internal/bitstream"
@@ -116,7 +128,27 @@ type Engine struct {
 	ahead     []lookahead // ungated spatial models, one per instance
 	noHorizon bool        // an ungated whole-bus model: a disturbance is possible in any slot
 	hasGated  bool        // draws depend on per-station EOF position
+
+	counters Counters
 }
+
+// Counters tallies how an engine executed its slots: plain integers,
+// one add per slot or window, nothing allocated.
+type Counters struct {
+	// Stepped counts slots executed one at a time, by the packed core or
+	// the reference Step loop.
+	Stepped uint64
+	// TxWindow counts slots fast-forwarded inside transmitter windows.
+	TxWindow uint64
+	// Quiet counts slots batch-latched in quiet windows.
+	Quiet uint64
+	// Adoptions counts transmitter windows that reached the ACK slot and
+	// set the transmitter's receive pipeline in constant time.
+	Adoptions uint64
+}
+
+// Counters returns the engine's execution tallies so far.
+func (e *Engine) Counters() Counters { return e.counters }
 
 var _ bus.Engine = (*Engine)(nil)
 
@@ -140,14 +172,18 @@ func (e *Engine) Advance(budget int) int {
 	if e.version != e.net.Version() {
 		e.replan()
 	}
-	if e.mode == planReference {
+	if e.mode == planFast {
+		if k := e.fastForward(budget); k > 0 {
+			return k
+		}
+		if k := e.quietWindow(budget); k > 0 {
+			return k
+		}
+		e.stepSlot()
+	} else {
 		e.net.Step()
-		return 1
 	}
-	if k := e.fastForward(budget); k > 0 {
-		return k
-	}
-	e.stepSlot()
+	e.counters.Stepped++
 	return 1
 }
 
@@ -201,6 +237,9 @@ func (e *Engine) replan() {
 //
 //lint:allow hotpath -- plan (re)construction is cold: once per network configuration change, never per bit slot.
 func (e *Engine) addLookahead(r *errmodel.Random, stations int) {
+	if stations == 0 {
+		return // a bus without stations takes no draws
+	}
 	for i := range e.ahead {
 		if e.ahead[i].rnd == r {
 			e.ahead[i].perSlot += stations
@@ -457,13 +496,62 @@ func (e *Engine) fastForward(budget int) int {
 			return 0
 		}
 	}
-	t.LatchTxWindow(win[:n])
+	win = win[:n]
+	if t.LatchTxWindow(win) {
+		e.counters.Adoptions++
+	}
 	for m := mirror; m != 0; m &= m - 1 {
 		e.ctrls[bits.TrailingZeros64(m)].AdoptPipeline(t, uint64(n))
 	}
 	for _, a := range e.ahead {
 		a.rnd.SkipClean(n * a.perSlot)
 	}
-	e.net.SkipSlots(win[:n])
+	var dominant uint64
+	for _, lvl := range win {
+		if lvl == bitstream.Dominant {
+			dominant++
+		}
+	}
+	e.net.SkipSlots(uint64(n), dominant, win[n-1])
+	e.counters.TxWindow += uint64(n)
+	return n
+}
+
+// quietWindow batch-latches a stretch of slots in which every station is
+// quiet (node.Controller.QuietSlots: a delimiter past its first recessive
+// bit, intermission, suspend, idle with an empty queue, disconnected
+// without recovery) and returns how many it consumed (0 when no window
+// applies). Quiet stations drive recessive, so the bus is recessive
+// throughout; the window is bounded by budget, by the slots whose
+// ungated spatial draws are all clean, and by every station's quiet
+// slots, so it ends one slot before any station's next transition and
+// the next slot — a transition, or the bit a disturbance fires in — runs
+// through the per-slot core. Gated models draw nothing here: no quiet
+// station is in the EOF region.
+func (e *Engine) quietWindow(budget int) int {
+	if e.noHorizon {
+		return 0
+	}
+	n := budget
+	for _, c := range e.ctrls {
+		if n = min(n, c.QuietSlots()); n == 0 {
+			return 0
+		}
+	}
+	for _, a := range e.ahead {
+		n = min(n, math.MaxInt/a.perSlot)
+		n = min(n, a.rnd.CleanAhead(n*a.perSlot)/a.perSlot)
+	}
+	if n == 0 {
+		return 0
+	}
+	for _, c := range e.ctrls {
+		c.LatchQuiet(n)
+	}
+	for _, a := range e.ahead {
+		a.rnd.SkipClean(n * a.perSlot)
+	}
+	e.net.SkipSlots(uint64(n), 0, bitstream.Recessive)
+	e.counters.Quiet += uint64(n)
 	return n
 }

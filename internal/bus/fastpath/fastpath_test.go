@@ -357,6 +357,9 @@ func TestChaosCampaignEngineTransparent(t *testing.T) {
 //     nothing is built.
 //   - The same traffic under an ungated random error model, with
 //     fast-forward windows bounded by the model's clean-draw lookahead.
+//   - Frames from an error-passive transmitter, whose suspend periods,
+//     MajorCAN's delimiters and the intermissions run as quiet windows,
+//     while transmitter windows set the pipeline in constant time.
 func TestZeroAllocsPerSlot(t *testing.T) {
 	const batch, runs = 512, 20
 	t.Run("no-ACK retry loop", func(t *testing.T) {
@@ -441,6 +444,30 @@ func TestZeroAllocsPerSlot(t *testing.T) {
 		}
 		if windows < runs || rnd.Flips() == 0 {
 			t.Errorf("%d fast-forward windows, %d flips: the batches must fast-forward under a firing model", windows, rnd.Flips())
+		}
+	})
+	t.Run("frames/quiet windows", func(t *testing.T) {
+		net := bus.NewNetwork()
+		tx := node.New("tx", core.MustMajorCAN(5), node.Options{})
+		rx := node.New("rx", core.MustMajorCAN(5), node.Options{})
+		net.Attach(tx)
+		net.Attach(rx)
+		tx.SetErrorCounters(0, node.PassiveLimit) // REC keeps it error-passive: successes lower only TEC
+		e := fastpath.Install(net)
+		for i := 0; i < (runs+2)*batch/64; i++ {
+			if err := tx.Enqueue(&frame.Frame{ID: 0x123, Data: []byte{0xDE, 0xAD, 0xBE, 0xEF}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		net.Run(batch)
+		before := e.Counters()
+		allocs := testing.AllocsPerRun(runs, func() { net.Run(batch) })
+		if allocs != 0 {
+			t.Errorf("allocations per %d-slot batch = %g, want 0", batch, allocs)
+		}
+		after := e.Counters()
+		if after.Quiet-before.Quiet < runs || after.Adoptions-before.Adoptions < runs || tx.Mode() != node.ErrorPassive {
+			t.Errorf("counters %+v -> %+v, transmitter %v: the batches must cross quiet windows and adoptions", before, after, tx.Mode())
 		}
 	})
 }

@@ -113,7 +113,9 @@ func (f Finding) Artifact(campaign string) Artifact {
 type CampaignResult struct {
 	// Name echoes the campaign name.
 	Name string
-	// Trials is the number of random scripts drawn.
+	// Trials is the number of trials the campaign covered: the
+	// configured count, or, when ctx interrupted it, the trials completed
+	// before the interruption (resumed ones included).
 	Trials int
 	// Executions counts simulator runs including shrinking re-executions.
 	Executions int
@@ -244,12 +246,18 @@ func (c *Campaign) Run(ctx context.Context) (*CampaignResult, error) {
 			})
 		}
 	}
+	// interrupted returns the trials completed before trial with ctx's
+	// error.
+	interrupted := func(trial int) (*CampaignResult, error) {
+		res.Trials = trial - cc.StartTrial
+		return res, ctx.Err()
+	}
 	// Per-trial RNGs keep trial t reproducible regardless of how many
 	// faults earlier trials drew.
 	const trialStride int64 = 0x5E3779B97F4A7C15 // odd constant decorrelates trials
 	for trial := start; trial < end; trial++ {
-		if err := ctx.Err(); err != nil {
-			return res, err
+		if ctx.Err() != nil {
+			return interrupted(trial)
 		}
 		rng := rand.New(rand.NewSource(cc.Seed*0x1000193 + int64(trial)*trialStride))
 		script := cc.Base.WithFaults(nil)
@@ -260,7 +268,7 @@ func (c *Campaign) Run(ctx context.Context) (*CampaignResult, error) {
 		run, err := Run(ctx, script, tel)
 		if err != nil {
 			if ctx.Err() != nil {
-				return res, ctx.Err()
+				return interrupted(trial)
 			}
 			return nil, fmt.Errorf("chaos: trial %d: %w", trial, err)
 		}
@@ -289,7 +297,7 @@ func (c *Campaign) Run(ctx context.Context) (*CampaignResult, error) {
 		final, err := Run(ctx, shrunk, tel)
 		if err != nil {
 			if ctx.Err() != nil {
-				return res, ctx.Err()
+				return interrupted(trial)
 			}
 			return nil, fmt.Errorf("chaos: trial %d (shrunk): %w", trial, err)
 		}

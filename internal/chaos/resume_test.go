@@ -3,6 +3,7 @@ package chaos
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"testing"
 )
 
@@ -97,5 +98,46 @@ func TestCampaignResumeStopAtFirstDoesNotSearchFurther(t *testing.T) {
 	}
 	if len(res.Findings) != len(ref.Findings) {
 		t.Fatalf("findings lost across resume: %d vs %d", len(res.Findings), len(ref.Findings))
+	}
+}
+
+// TestCampaignSpecCancelKeepsCompletedTrials cancels a campaign at a
+// trial boundary: the outcome of the trials completed before it comes
+// back with ctx's error — Trials counts them, and the findings are the
+// uninterrupted run's findings from those trials.
+func TestCampaignSpecCancelKeepsCompletedTrials(t *testing.T) {
+	spec := resumeSpec()
+	ref, err := RunCampaignSpec(context.Background(), spec, Telemetry{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range []int{1, 27} {
+		ctx, cancel := context.WithCancel(context.Background())
+		out, err := RunCampaignSpec(ctx, spec, Telemetry{}, func(done int) {
+			if done == cut {
+				cancel()
+			}
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cut %d: err = %v, want context.Canceled", cut, err)
+		}
+		if out == nil {
+			t.Fatalf("cut %d: no outcome for the completed trials", cut)
+		}
+		if out.Trials != cut || out.Trials >= spec.Trials {
+			t.Fatalf("cut %d: outcome covers %d trials, want %d of %d", cut, out.Trials, cut, spec.Trials)
+		}
+		want := []Artifact{}
+		for _, a := range ref.Findings {
+			if a.Trial < cut {
+				want = append(want, a)
+			}
+		}
+		got, _ := json.Marshal(out.Findings)
+		wantJSON, _ := json.Marshal(want)
+		if string(got) != string(wantJSON) {
+			t.Fatalf("cut %d: findings %s, want %s", cut, got, wantJSON)
+		}
 	}
 }

@@ -176,7 +176,8 @@ type CampaignOutcome struct {
 // RunCampaignSpec executes a campaign spec with optional telemetry: the
 // entry point the simulation service's scheduler and the chaos CLI
 // share. Cancelling ctx stops the search, inside a trial if one is
-// running, and surfaces ctx's error.
+// running, and returns the outcome of the trials completed before it
+// (Trials counts them) together with ctx's error.
 func RunCampaignSpec(ctx context.Context, spec CampaignSpec, t Telemetry, onTrial func(done int)) (*CampaignOutcome, error) {
 	return RunCampaignSpecResumable(ctx, spec, t, onTrial, nil, nil)
 }
@@ -199,7 +200,7 @@ func RunCampaignSpecResumable(ctx context.Context, spec CampaignSpec, t Telemetr
 	camp.Resume = resume
 	camp.OnProgress = onProgress
 	res, err := camp.Run(ctx)
-	if err != nil {
+	if res == nil {
 		return nil, err
 	}
 	out := &CampaignOutcome{
@@ -211,7 +212,7 @@ func RunCampaignSpecResumable(ctx context.Context, spec CampaignSpec, t Telemetr
 	for _, f := range res.Findings {
 		out.Findings = append(out.Findings, f.Artifact("spec"))
 	}
-	return out, nil
+	return out, err
 }
 
 // ParseProbes maps a comma-separated probe list onto the campaign probe

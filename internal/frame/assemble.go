@@ -169,6 +169,41 @@ func (a *Assembler) Push(l bitstream.Level) (AssemblyState, error) {
 	return AssemblyInProgress, nil
 }
 
+// ReceivedAtAck returns the receive pipeline of a station that sampled
+// enc.Bits[:enc.AckIndex] undisturbed, where enc is f's encoding: the
+// destuffer after the stuffed region (SOF through the CRC sequence and
+// the stuff bit that may follow it) and the assembler after the frame's
+// SOF..CRC bits. It is what pushing those bits one by one produces, built
+// from the frame's fields and enc.CRC instead, in constant time.
+func ReceivedAtAck(f *Frame, enc *Encoding) (bitstream.Destuffer, Assembler) {
+	a := Assembler{
+		stage:   stDone,
+		count:   bitstream.CRCWidth,
+		remote:  f.Remote,
+		dlc:     f.EffectiveDLC(),
+		crcRecv: enc.CRC,
+		crc:     bitstream.CRC15Of(enc.CRC),
+	}
+	a.dataLen = min(int(a.dlc), MaxDataLen)
+	if f.EffectiveFormat() == Extended {
+		a.extended = true
+		a.id = f.ID >> 18 & MaxStandardID
+		a.extID = f.ID & (1<<18 - 1)
+		a.srr = bitstream.Recessive
+	} else {
+		a.id = f.ID
+		a.srr = bitstream.Dominant
+		if f.Remote {
+			a.srr = bitstream.Recessive
+		}
+	}
+	if !f.Remote {
+		a.nData = copy(a.data[:], f.Data)
+	}
+	// The CRC delimiter at AckIndex-1 ends the stuffed region.
+	return bitstream.DestufferAfter(enc.Bits[:enc.AckIndex-1]), a
+}
+
 // Done reports whether the full SOF..CRC region has been received.
 func (a *Assembler) Done() bool { return a.stage == stDone }
 

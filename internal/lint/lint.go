@@ -173,6 +173,11 @@ var HotPathRoots = []string{
 	"repro/internal/node.Controller.MirrorsPipeline",
 	"repro/internal/node.Controller.AdoptPipeline",
 	"repro/internal/node.Controller.LatchTxWindow",
+	"repro/internal/node.Controller.QuietSlots",
+	"repro/internal/node.Controller.LatchQuiet",
+	"repro/internal/frame.ReceivedAtAck",
+	"repro/internal/bitstream.DestufferAfter",
+	"repro/internal/bitstream.CRC15Of",
 	"repro/internal/errmodel.Random.Sample",
 	"repro/internal/errmodel.Random.CleanAhead",
 	"repro/internal/errmodel.Random.SkipClean",

@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/bitstream"
 	"repro/internal/frame"
@@ -71,16 +72,34 @@ func (c *Controller) MirrorsPipeline(t *Controller) bool {
 }
 
 // LatchTxWindow batch-latches win — a prefix of TxWindow() — into the
-// transmitter. Inside the window the generic Latch path degenerates: the
-// sampled level always equals the driven bit (the window is only entered
-// when every other station drives recessive), the field is never the ACK
-// slot (TxWindow stops before it), and the receive pipeline tracking the
+// transmitter and reports whether it set the receive pipeline directly.
+// Inside the window the generic Latch path degenerates: the sampled
+// level always equals the driven bit (the window is only entered when
+// every other station drives recessive), the field is never the ACK slot
+// (TxWindow stops before it), and the receive pipeline tracking the
 // controller's own well-formed encoding cannot raise stuff or form
-// errors. What remains is exactly this loop: advance txPos, feed the
-// destuffer/assembler, and absorb the recessive CRC delimiter. The
-// impossible branches stay as panics so a seam regression fails loudly
-// instead of diverging from the reference engine.
-func (c *Controller) LatchTxWindow(win bitstream.Sequence) {
+// errors.
+//
+// A window that reaches the ACK slot leaves the transmitter having
+// sampled exactly Bits[:AckIndex] of its encoding (DESIGN.md §15), so
+// its pipeline is set to frame.ReceivedAtAck of the queued frame in
+// constant time. That needs the queue head to be the encoded frame: a
+// higher-priority frame enqueued mid-transmission takes the head, and
+// the encode cache, keyed by content, tells the two apart. Any other
+// window replays its bits: advance txPos, feed the destuffer/assembler,
+// and absorb the recessive CRC delimiter. The impossible branches stay
+// as panics so a seam regression fails loudly instead of diverging from
+// the reference engine.
+func (c *Controller) LatchTxWindow(win bitstream.Sequence) (adopted bool) {
+	c.now += uint64(len(win))
+	if c.txPos+len(win) == c.txEnc.AckIndex {
+		if f := c.queue.peek(); f != nil && c.encCache[encKeyOf(f, c.txEnc.EOFBits)] == c.txEnc {
+			c.destuff, c.asm = frame.ReceivedAtAck(f, c.txEnc)
+			c.rxTail = 1
+			c.txPos = c.txEnc.AckIndex
+			return true
+		}
+	}
 	for _, level := range win {
 		c.txPos++
 		switch {
@@ -103,7 +122,7 @@ func (c *Controller) LatchTxWindow(win bitstream.Sequence) {
 			c.rxTail++
 		}
 	}
-	c.now += uint64(len(win))
+	return false
 }
 
 // AdoptPipeline copies transmitter t's receive-pipeline state into c and
@@ -121,6 +140,57 @@ func (c *Controller) AdoptPipeline(t *Controller, slots uint64) {
 	c.now += slots
 }
 
+// QuietSlots returns how many slots the controller can latch recessive
+// without a state transition: the remaining bits of a delimiter past its
+// first recessive bit, of intermission or of suspend, each but the bit
+// that ends it; unbounded (math.MaxInt) when idle with an empty queue or
+// disconnected without bus-off recovery; 0 in every other state, where
+// the next latch changes state or the controller may drive dominant. A
+// quiet controller drives recessive, sits outside the end-of-frame
+// region, and raises no event or hook in those slots, so the fast engine
+// latches a stretch of them at once (LatchQuiet) when every station is
+// quiet and no disturbance fires.
+func (c *Controller) QuietSlots() int {
+	switch c.state {
+	case stDelim:
+		if !c.delimSeen {
+			return 0
+		}
+		return max(0, c.policy.DelimiterBits()-1-c.delimCount)
+	case stIntermission:
+		return max(0, frame.IntermissionBits-1-c.intermCount)
+	case stSuspend:
+		return max(0, c.suspendLeft-1)
+	case stIdle:
+		if c.queue.len() > 0 {
+			return 0
+		}
+		return math.MaxInt
+	case stOff:
+		if c.opts.AutoRecover && !c.crashed && c.mode == BusOff {
+			return 0
+		}
+		return math.MaxInt
+	default:
+		return 0
+	}
+}
+
+// LatchQuiet latches n recessive slots, n at most QuietSlots(): exactly
+// what n Latch(Recessive) calls do there — advance the state's counter
+// and the clock.
+func (c *Controller) LatchQuiet(n int) {
+	switch c.state {
+	case stDelim:
+		c.delimCount += n
+	case stIntermission:
+		c.intermCount += n
+	case stSuspend:
+		c.suspendLeft -= n
+	}
+	c.now += uint64(n)
+}
+
 // encKey identifies a frame encoding: every input frame.Encode reads.
 type encKey struct {
 	id      uint32
@@ -130,6 +200,20 @@ type encKey struct {
 	nData   uint8
 	data    [frame.MaxDataLen]byte
 	eofBits int
+}
+
+// encKeyOf returns the cache key of f's encoding with eofBits EOF bits.
+func encKeyOf(f *frame.Frame, eofBits int) encKey {
+	key := encKey{
+		id:      f.ID,
+		format:  f.EffectiveFormat(),
+		remote:  f.Remote,
+		dlc:     f.EffectiveDLC(),
+		nData:   uint8(len(f.Data)),
+		eofBits: eofBits,
+	}
+	copy(key.data[:], f.Data)
+	return key
 }
 
 // encCacheCap bounds the per-controller encode cache. Monte Carlo and
@@ -147,15 +231,7 @@ const encCacheCap = 256
 // The cached encoding is shared and read-only (the controller only
 // indexes Bits and Refs).
 func (c *Controller) cachedEncode(f *frame.Frame, eofBits int) (*frame.Encoding, error) {
-	key := encKey{
-		id:      f.ID,
-		format:  f.EffectiveFormat(),
-		remote:  f.Remote,
-		dlc:     f.EffectiveDLC(),
-		nData:   uint8(len(f.Data)),
-		eofBits: eofBits,
-	}
-	copy(key.data[:], f.Data)
+	key := encKeyOf(f, eofBits)
 	if enc, ok := c.encCache[key]; ok {
 		return enc, nil
 	}
