@@ -249,11 +249,14 @@ func (n *Network) SetEmitter(sink obs.Sink) {
 // callers keep exact single-slot semantics regardless of the engine.
 //
 // With an engine installed, RunUntil evaluates cond at batch boundaries
-// only. This is sound for quiescence-style conditions because a
-// conforming engine never batches across a slot in which the bus could
-// become quiescent (see internal/bus/fastpath: fast-forward windows
-// always contain an in-frame transmitter, and quiet windows end one slot
-// before any station's next state transition).
+// only. This is sound for conditions on protocol state — quiescence, a
+// verdict, a mode change — because a conforming engine never batches
+// across a slot that changes a station's state (see
+// internal/bus/fastpath: fast-forward windows always contain an
+// in-frame transmitter, and steady windows end one slot before any
+// station's next state transition). A condition on a position inside a
+// stretch (an EOF bit, a counter value) may be batched across; callers
+// needing one step with Step.
 func (n *Network) SetEngine(e Engine) {
 	n.engine = e
 }

@@ -22,13 +22,14 @@
 //     transmitter's own pipeline from its frame in constant time
 //     instead of replaying the window's bits;
 //
-//   - quiet windows: while every station sits in a stretch it leaves
-//     only by a transition a known number of slots ahead (a delimiter
-//     past its first recessive bit, intermission, suspend) or not at all
-//     (idle with an empty queue, disconnected without recovery), the bus
-//     is recessive and nothing but counters moves; the engine latches
+//   - steady windows: while every station's drive is constant and its
+//     latch of the resulting bus level — recessive or dominant — only
+//     advances counters up to a known slot (the EOF field, flags,
+//     MajorCAN's sampling, extended flag and reject wait, delimiters,
+//     intermission, suspend, idle, disconnected), the engine latches
 //     the stretch in one batch up to one slot before the first
-//     transition or firing draw;
+//     transition or firing draw, with the spatial models' draws — gated
+//     on the EOF region or not — looked ahead like fast-forward's;
 //
 //   - eligibility fallback: anything the fast core does not model
 //     exactly — probes, output faults, sample skews, scripted or unknown
@@ -47,7 +48,7 @@
 // primitives in the same (slot, station, disturber) order, frame-start
 // events replicate the reference edge scan, fast-forward windows end
 // before any slot whose outcome could depend on a draw or a
-// non-transmitter drive, and quiet windows end before any slot that
+// non-transmitter drive, and steady windows end before any slot that
 // changes a station's state or holds a firing draw. The differential
 // oracle in this package's tests checks byte-identical event streams,
 // verdicts and sweep digests against the reference engine.
@@ -88,13 +89,16 @@ const (
 	// looking ahead in the stream (errmodel.Random.CleanAhead).
 	entryRandom
 	// entryRandomEOF is a spatial model gated on the EOF region: draws
-	// happen only for stations inside an EOF episode.
+	// happen only for stations inside an EOF episode. Steady windows
+	// bound it by the same lookahead, at one draw per in-episode station
+	// per slot.
 	entryRandomEOF
 	// entryGlobal is an ungated whole-bus model: one draw per slot. It
 	// has no lookahead, so fast-forward is off while one is registered.
 	entryGlobal
 	// entryGlobalEOF is a whole-bus model gated on the EOF region: the
-	// slot's draw happens at the first in-episode station.
+	// slot's draw happens at the first in-episode station. It has no
+	// lookahead, so no steady window opens while a station is in one.
 	entryGlobalEOF
 )
 
@@ -105,12 +109,14 @@ type entry struct {
 	glb  *errmodel.GlobalRandom
 }
 
-// lookahead is one distinct ungated spatial model and the number of
-// draws a slot takes from its stream (stations times the entries that
-// share the instance).
+// lookahead is one distinct spatial model and the draws a slot takes
+// from its stream: perSlot for its ungated registrations (stations times
+// those entries), plus perEpisode for each station inside an EOF episode
+// (its EOF-gated entries). An instance registered both ways has both.
 type lookahead struct {
-	rnd     *errmodel.Random
-	perSlot int
+	rnd        *errmodel.Random
+	perSlot    int
+	perEpisode int
 }
 
 // Engine is the fast bit-slot executor. Create one per bus.Network with
@@ -123,11 +129,12 @@ type Engine struct {
 	emitter obs.Sink
 
 	// planFast state: concrete stations and specialised disturbers.
-	ctrls     []*node.Controller
-	entries   []entry
-	ahead     []lookahead // ungated spatial models, one per instance
-	noHorizon bool        // an ungated whole-bus model: a disturbance is possible in any slot
-	hasGated  bool        // draws depend on per-station EOF position
+	ctrls       []*node.Controller
+	entries     []entry
+	ahead       []lookahead // spatial models, one per instance
+	noHorizon   bool        // an ungated whole-bus model: a disturbance is possible in any slot
+	hasGated    bool        // draws depend on per-station EOF position
+	gatedGlobal bool        // an EOF-gated whole-bus model: no horizon while a station is in an episode
 
 	counters Counters
 }
@@ -140,8 +147,8 @@ type Counters struct {
 	Stepped uint64
 	// TxWindow counts slots fast-forwarded inside transmitter windows.
 	TxWindow uint64
-	// Quiet counts slots batch-latched in quiet windows.
-	Quiet uint64
+	// Steady counts slots batch-latched in steady windows.
+	Steady uint64
 	// Adoptions counts transmitter windows that reached the ACK slot and
 	// set the transmitter's receive pipeline in constant time.
 	Adoptions uint64
@@ -176,10 +183,11 @@ func (e *Engine) Advance(budget int) int {
 		if k := e.fastForward(budget); k > 0 {
 			return k
 		}
-		if k := e.quietWindow(budget); k > 0 {
+		word := e.driveWord()
+		if k := e.steadyWindow(word, budget); k > 0 {
 			return k
 		}
-		e.stepSlot()
+		e.stepSlot(word)
 	} else {
 		e.net.Step()
 	}
@@ -197,7 +205,7 @@ func (e *Engine) replan() {
 	e.ctrls = e.ctrls[:0]
 	e.entries = e.entries[:0]
 	e.ahead = e.ahead[:0]
-	e.noHorizon, e.hasGated = false, false
+	e.noHorizon, e.hasGated, e.gatedGlobal = false, false, false
 	e.mode = planReference
 
 	n := e.net.Stations()
@@ -220,33 +228,38 @@ func (e *Engine) replan() {
 		case entryNever:
 			continue // never fires, never draws: drop it from the plan
 		case entryRandom:
-			e.addLookahead(en.rnd, n)
+			e.addLookahead(en.rnd, n, 0)
 		case entryGlobal:
 			e.noHorizon = true
-		case entryRandomEOF, entryGlobalEOF:
+		case entryRandomEOF:
 			e.hasGated = true
+			e.addLookahead(en.rnd, 0, 1)
+		case entryGlobalEOF:
+			e.hasGated, e.gatedGlobal = true, true
 		}
 		e.entries = append(e.entries, en)
 	}
 	e.mode = planFast
 }
 
-// addLookahead accounts one ungated spatial entry drawing once per
-// station per slot from r; an instance registered more than once draws
-// that many times per station.
+// addLookahead accounts one spatial entry drawing from r: perSlot
+// draws a slot (one per station, ungated) or perEpisode (one per
+// in-episode station, EOF-gated). An instance registered more than once
+// adds up its entries.
 //
 //lint:allow hotpath -- plan (re)construction is cold: once per network configuration change, never per bit slot.
-func (e *Engine) addLookahead(r *errmodel.Random, stations int) {
-	if stations == 0 {
+func (e *Engine) addLookahead(r *errmodel.Random, perSlot, perEpisode int) {
+	if len(e.ctrls) == 0 {
 		return // a bus without stations takes no draws
 	}
 	for i := range e.ahead {
-		if e.ahead[i].rnd == r {
-			e.ahead[i].perSlot += stations
+		if a := &e.ahead[i]; a.rnd == r {
+			a.perSlot += perSlot
+			a.perEpisode += perEpisode
 			return
 		}
 	}
-	e.ahead = append(e.ahead, lookahead{rnd: r, perSlot: stations})
+	e.ahead = append(e.ahead, lookahead{rnd: r, perSlot: perSlot, perEpisode: perEpisode})
 }
 
 // classify maps a registered disturber to a specialised entry, or
@@ -287,18 +300,25 @@ func classify(d bus.Disturber) (entry, bool) {
 	}
 }
 
-// stepSlot executes one bit slot through the packed core: drive word,
-// wired-AND, frame-start edge, disturbance parity mask, latches. It is
-// exact for every protocol situation (arbitration, flags, overloads,
-// recovery) because it performs the same per-station calls as the
-// reference loop, only devirtualised and without materialising views.
-func (e *Engine) stepSlot() {
+// driveWord returns this slot's drive word: bit i set when station i
+// drives dominant.
+func (e *Engine) driveWord() uint64 {
 	var word uint64
 	for i, c := range e.ctrls {
 		if c.Drive() == bitstream.Dominant {
 			word |= 1 << uint(i)
 		}
 	}
+	return word
+}
+
+// stepSlot executes one bit slot through the packed core from its drive
+// word: wired-AND, frame-start edge, disturbance parity mask, latches.
+// It is exact for every protocol situation (arbitration, flags,
+// overloads, recovery) because it performs the same per-station calls as
+// the reference loop, only devirtualised and without materialising
+// views.
+func (e *Engine) stepSlot(word uint64) {
 	level := bitstream.Recessive
 	if word != 0 {
 		level = bitstream.Dominant
@@ -442,11 +462,8 @@ func (e *Engine) fastForward(budget int) int {
 	if len(win) > budget {
 		win = win[:budget]
 	}
-	for _, a := range e.ahead {
-		if clean := a.rnd.CleanAhead(len(win)*a.perSlot) / a.perSlot; clean < len(win) {
-			win = win[:clean]
-		}
-	}
+	// No station is in an EOF episode: only ungated draws bound the window.
+	win = win[:e.cleanSlots(len(win), 0)]
 	if len(win) == 0 {
 		return 0
 	}
@@ -503,9 +520,7 @@ func (e *Engine) fastForward(budget int) int {
 	for m := mirror; m != 0; m &= m - 1 {
 		e.ctrls[bits.TrailingZeros64(m)].AdoptPipeline(t, uint64(n))
 	}
-	for _, a := range e.ahead {
-		a.rnd.SkipClean(n * a.perSlot)
-	}
+	e.skipClean(n, 0)
 	var dominant uint64
 	for _, lvl := range win {
 		if lvl == bitstream.Dominant {
@@ -517,41 +532,83 @@ func (e *Engine) fastForward(budget int) int {
 	return n
 }
 
-// quietWindow batch-latches a stretch of slots in which every station is
-// quiet (node.Controller.QuietSlots: a delimiter past its first recessive
-// bit, intermission, suspend, idle with an empty queue, disconnected
-// without recovery) and returns how many it consumed (0 when no window
-// applies). Quiet stations drive recessive, so the bus is recessive
-// throughout; the window is bounded by budget, by the slots whose
-// ungated spatial draws are all clean, and by every station's quiet
-// slots, so it ends one slot before any station's next transition and
+// steadyWindow batch-latches a stretch of slots in which every station
+// is steady (node.Controller.SteadySlots) under the bus level its drive
+// word makes, and returns how many it consumed (0 when no window
+// applies). Steady stations keep their drives, so the level holds
+// throughout, recessive or dominant; the window is bounded by budget, by
+// every station's steady slots, and by the slots whose draws are all
+// clean, so it ends one slot before any station's next transition and
 // the next slot — a transition, or the bit a disturbance fires in — runs
-// through the per-slot core. Gated models draw nothing here: no quiet
-// station is in the EOF region.
-func (e *Engine) quietWindow(budget int) int {
+// through the per-slot core. No station enters or leaves an EOF episode
+// inside the window, so the draws per slot are constant: each spatial
+// model takes one per station for its ungated registrations and one per
+// in-episode station for its gated ones, bounded by the same lookahead.
+// A gated whole-bus model has none, so it stops windows while any
+// station is in an episode.
+func (e *Engine) steadyWindow(word uint64, budget int) int {
 	if e.noHorizon {
 		return 0
 	}
-	n := budget
+	level := bitstream.Recessive
+	if word != 0 {
+		level = bitstream.Dominant
+	}
+	n, inEpisode := budget, 0
 	for _, c := range e.ctrls {
-		if n = min(n, c.QuietSlots()); n == 0 {
+		if n = min(n, c.SteadySlots(level)); n == 0 {
 			return 0
 		}
+		if c.EOFRel() != 0 {
+			inEpisode++
+		}
 	}
-	for _, a := range e.ahead {
-		n = min(n, math.MaxInt/a.perSlot)
-		n = min(n, a.rnd.CleanAhead(n*a.perSlot)/a.perSlot)
+	if inEpisode > 0 && e.gatedGlobal {
+		return 0
 	}
-	if n == 0 {
+	if n = e.cleanSlots(n, inEpisode); n == 0 {
 		return 0
 	}
 	for _, c := range e.ctrls {
-		c.LatchQuiet(n)
+		c.LatchSteady(level, n)
 	}
-	for _, a := range e.ahead {
-		a.rnd.SkipClean(n * a.perSlot)
+	e.skipClean(n, inEpisode)
+	var dominant uint64
+	if level == bitstream.Dominant {
+		dominant = uint64(n)
 	}
-	e.net.SkipSlots(uint64(n), 0, bitstream.Recessive)
-	e.counters.Quiet += uint64(n)
+	e.net.SkipSlots(uint64(n), dominant, level)
+	e.counters.Steady += uint64(n)
 	return n
+}
+
+// draws returns how many draws a slot takes from the model's stream
+// while inEpisode stations are inside an EOF episode.
+func (a *lookahead) draws(inEpisode int) int {
+	return a.perSlot + a.perEpisode*inEpisode
+}
+
+// cleanSlots bounds a window of n slots, with inEpisode stations inside
+// an EOF episode throughout, by the spatial models' lookahead: it
+// returns how many of those slots take only clean draws.
+func (e *Engine) cleanSlots(n, inEpisode int) int {
+	for i := range e.ahead {
+		a := &e.ahead[i]
+		if d := a.draws(inEpisode); d > 0 {
+			n = min(n, math.MaxInt/d)
+			n = min(n, a.rnd.CleanAhead(n*d)/d)
+		}
+	}
+	return n
+}
+
+// skipClean consumes the looked-ahead clean draws of an n-slot window
+// that cleanSlots allowed.
+func (e *Engine) skipClean(n, inEpisode int) {
+	for i := range e.ahead {
+		a := &e.ahead[i]
+		if d := a.draws(inEpisode); d > 0 {
+			a.rnd.SkipClean(n * d)
+		}
+	}
 }

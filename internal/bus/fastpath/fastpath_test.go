@@ -446,6 +446,30 @@ func TestZeroAllocsPerSlot(t *testing.T) {
 			t.Errorf("%d fast-forward windows, %d flips: the batches must fast-forward under a firing model", windows, rnd.Flips())
 		}
 	})
+	t.Run("frames/EOF-gated Random", func(t *testing.T) {
+		net := bus.NewNetwork()
+		tx := node.New("tx", core.MustMajorCAN(5), node.Options{})
+		rx := node.New("rx", core.MustMajorCAN(5), node.Options{})
+		net.Attach(tx)
+		net.Attach(rx)
+		rnd := errmodel.NewRandom(0.02, 3)
+		net.AddDisturber(errmodel.EOFOnly{Inner: rnd})
+		e := fastpath.Install(net)
+		for i := 0; i < (runs+2)*batch/64; i++ {
+			if err := tx.Enqueue(&frame.Frame{ID: 0x123, Data: []byte{0xDE, 0xAD, 0xBE, 0xEF}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		net.Run(batch)
+		before := e.Counters()
+		allocs := testing.AllocsPerRun(runs, func() { net.Run(batch) })
+		if allocs != 0 {
+			t.Errorf("allocations per %d-slot batch = %g, want 0", batch, allocs)
+		}
+		if after := e.Counters(); after.Steady-before.Steady < runs || rnd.Flips() == 0 {
+			t.Errorf("counters %+v -> %+v, %d flips: the batches must cross steady windows under a firing gated model", before, after, rnd.Flips())
+		}
+	})
 	t.Run("frames/quiet windows", func(t *testing.T) {
 		net := bus.NewNetwork()
 		tx := node.New("tx", core.MustMajorCAN(5), node.Options{})
@@ -466,8 +490,8 @@ func TestZeroAllocsPerSlot(t *testing.T) {
 			t.Errorf("allocations per %d-slot batch = %g, want 0", batch, allocs)
 		}
 		after := e.Counters()
-		if after.Quiet-before.Quiet < runs || after.Adoptions-before.Adoptions < runs || tx.Mode() != node.ErrorPassive {
-			t.Errorf("counters %+v -> %+v, transmitter %v: the batches must cross quiet windows and adoptions", before, after, tx.Mode())
+		if after.Steady-before.Steady < runs || after.Adoptions-before.Adoptions < runs || tx.Mode() != node.ErrorPassive {
+			t.Errorf("counters %+v -> %+v, transmitter %v: the batches must cross steady windows and adoptions", before, after, tx.Mode())
 		}
 	})
 }

@@ -22,7 +22,8 @@ type bench struct {
 	net   *bus.Network
 	ctrls []*node.Controller
 	mem   *obs.Memory
-	rnd   *errmodel.Random // the ungated model, if any
+	rnd   *errmodel.Random       // the model ber describes, if any
+	flips []errmodel.FlipCounter // every registered model that counts flips
 }
 
 // benchSpec describes a scenario both engines run.
@@ -33,6 +34,9 @@ type benchSpec struct {
 	eofOnly bool           // gate the model on the EOF region
 	seed    int64
 	setup   func(ctrls []*node.Controller)
+	// models, when set, returns further disturbers to register, fresh
+	// for each bench.
+	models func() []bus.Disturber
 }
 
 func newBench(t *testing.T, s benchSpec) *bench {
@@ -51,10 +55,22 @@ func newBench(t *testing.T, s benchSpec) *bench {
 	}
 	if s.ber > 0 {
 		b.rnd = errmodel.NewRandom(s.ber, s.seed)
+		b.flips = append(b.flips, b.rnd)
 		if s.eofOnly {
 			b.net.AddDisturber(errmodel.EOFOnly{Inner: b.rnd})
 		} else {
 			b.net.AddDisturber(b.rnd)
+		}
+	}
+	if s.models != nil {
+		for _, d := range s.models() {
+			b.net.AddDisturber(d)
+			if g, ok := d.(errmodel.EOFOnly); ok {
+				d = g.Inner
+			}
+			if fc, ok := d.(errmodel.FlipCounter); ok {
+				b.flips = append(b.flips, fc)
+			}
 		}
 	}
 	if s.setup != nil {
@@ -70,20 +86,30 @@ type arrival struct {
 	f       frame.Frame
 }
 
-// quietPhases records, per station phase, how many quiet windows began
-// with some station in that phase.
-type quietPhases map[bus.Phase]int
+// steadySeen records what the steady windows of a run began with.
+type steadySeen struct {
+	// phases counts, per station phase, the windows that began with some
+	// station in that phase.
+	phases map[bus.Phase]int
+	// idleQueued reports a window that began with a station idle behind
+	// a queued frame.
+	idleQueued bool
+	// dominant counts the windows under a dominant bus; inEpisode those
+	// that began with a station inside an EOF episode, passiveEpisode
+	// with an error-passive one, rejectWait with a MajorCAN station
+	// waiting out a rejected episode (reported as a delimiter inside the
+	// EOF region).
+	dominant, inEpisode, passiveEpisode, rejectWait int
+}
 
 // runLockstep drives ref through the reference Step loop and fast
 // through eng, one Advance at a time, applying the arrivals to both at
 // their slots, and requires deep-equal controller states, bus clocks and
 // event streams after every Advance — so every window end is checked.
-// It returns the phases quiet windows began in, and whether a quiet
-// window began with a station idle behind a queued frame.
-func runLockstep(t *testing.T, ref, fast *bench, eng *fastpath.Engine, arrivals []arrival, slots uint64) (quietPhases, bool) {
+// It returns what the steady windows began with.
+func runLockstep(t *testing.T, ref, fast *bench, eng *fastpath.Engine, arrivals []arrival, slots uint64) steadySeen {
 	t.Helper()
-	seen := quietPhases{}
-	idleQueued := false
+	seen := steadySeen{phases: map[bus.Phase]int{}}
 	for fast.net.Slot() < slots {
 		now := fast.net.Slot()
 		budget := slots - now
@@ -101,25 +127,48 @@ func runLockstep(t *testing.T, ref, fast *bench, eng *fastpath.Engine, arrivals 
 				budget = min(budget, a.slot-now)
 			}
 		}
-		phases := make([]bus.ViewContext, len(fast.ctrls))
+		views := make([]bus.ViewContext, len(fast.ctrls))
 		queued := make([]int, len(fast.ctrls))
+		passive := make([]bool, len(fast.ctrls))
+		dominant := false
 		for i, c := range fast.ctrls {
-			phases[i], queued[i] = c.View(), c.QueueLen()
+			views[i], queued[i] = c.View(), c.QueueLen()
+			passive[i] = c.Mode() == node.ErrorPassive
+			dominant = dominant || c.Drive() == bitstream.Dominant
 		}
-		before := eng.Counters().Quiet
+		before := eng.Counters().Steady
 		k := eng.Advance(int(budget))
-		if eng.Counters().Quiet > before {
-			for i, v := range phases {
-				seen[v.Phase]++
+		if eng.Counters().Steady > before {
+			if dominant {
+				seen.dominant++
+			}
+			inEpisode, passiveEpisode, rejectWait := false, false, false
+			for i, v := range views {
+				seen.phases[v.Phase]++
 				if v.Phase == bus.PhaseIdle && queued[i] > 0 {
-					idleQueued = true
+					seen.idleQueued = true
+				}
+				if v.EOFRel != 0 {
+					inEpisode = true
+					passiveEpisode = passiveEpisode || passive[i]
+					rejectWait = rejectWait || v.Phase == bus.PhaseErrorDelim
 				}
 			}
+			seen.inEpisode += b2i(inEpisode)
+			seen.passiveEpisode += b2i(passiveEpisode)
+			seen.rejectWait += b2i(rejectWait)
 		}
 		ref.net.Run(k)
 		sameBench(t, ref, fast)
 	}
-	return seen, idleQueued
+	return seen
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // sameBench requires the two benches to be in the same state.
@@ -139,8 +188,10 @@ func sameBench(t *testing.T, ref, fast *bench) {
 	if !reflect.DeepEqual(ref.mem.Events(), fast.mem.Events()) {
 		t.Fatalf("slot %d: event streams diverged", fast.net.Slot())
 	}
-	if ref.rnd != nil && ref.rnd.Flips() != fast.rnd.Flips() {
-		t.Fatalf("slot %d: flips diverged: reference %d, fast %d", fast.net.Slot(), ref.rnd.Flips(), fast.rnd.Flips())
+	for i := range ref.flips {
+		if rf, ff := ref.flips[i].Flips(), fast.flips[i].Flips(); rf != ff {
+			t.Fatalf("slot %d: flips of model %d diverged: reference %d, fast %d", fast.net.Slot(), i, rf, ff)
+		}
 	}
 }
 
@@ -183,9 +234,9 @@ func TestQuietWindowsMatchReference(t *testing.T) {
 				}
 			},
 		})
-		seen, _ := runLockstep(t, ref, fast, eng, nil, 1500)
-		if seen[bus.PhaseSuspend] == 0 {
-			t.Fatalf("no quiet window began in suspend (phases %v)", seen)
+		seen := runLockstep(t, ref, fast, eng, nil, 1500)
+		if seen.phases[bus.PhaseSuspend] == 0 {
+			t.Fatalf("no quiet window began in suspend (phases %v)", seen.phases)
 		}
 		if fast.ctrls[0].TxSuccesses() != 4 || fast.ctrls[0].Mode() != node.ErrorPassive {
 			t.Fatalf("%d frames sent, mode %v: want 4, error-passive", fast.ctrls[0].TxSuccesses(), fast.ctrls[0].Mode())
@@ -199,11 +250,11 @@ func TestQuietWindowsMatchReference(t *testing.T) {
 			{slot: 30, station: 1, f: dataFrame(0x101, 2)},  // queued behind n0's frame
 			{slot: 600, station: 2, f: dataFrame(0x102, 3)}, // on an idle bus
 		}
-		seen, idleQueued := runLockstep(t, ref, fast, eng, arrivals, 900)
-		if seen[bus.PhaseIntermission] == 0 || seen[bus.PhaseIdle] == 0 {
-			t.Fatalf("quiet windows did not cover intermission and idle (phases %v)", seen)
+		seen := runLockstep(t, ref, fast, eng, arrivals, 900)
+		if seen.phases[bus.PhaseIntermission] == 0 || seen.phases[bus.PhaseIdle] == 0 {
+			t.Fatalf("quiet windows did not cover intermission and idle (phases %v)", seen.phases)
 		}
-		if idleQueued {
+		if seen.idleQueued {
 			t.Fatal("a quiet window began with a station idle behind a queued frame")
 		}
 		for i, c := range fast.ctrls {
@@ -224,21 +275,21 @@ func TestQuietWindowsMatchReference(t *testing.T) {
 				{slot: 0, station: 0, f: dataFrame(0x100, 1)},
 				{slot: 2500, station: 1, f: dataFrame(0x101, 2)},
 			}
-			seen, _ := runLockstep(t, ref, fast, eng, arrivals, 3000)
+			seen := runLockstep(t, ref, fast, eng, arrivals, 3000)
 			if recover {
 				if m := fast.ctrls[2].Mode(); m != node.ErrorActive {
 					t.Fatalf("n2 is %v after 3000 slots, want recovered", m)
 				}
-				if seen[bus.PhaseIdle] == 0 {
-					t.Fatalf("no quiet window after the recovery (phases %v)", seen)
+				if seen.phases[bus.PhaseIdle] == 0 {
+					t.Fatalf("no quiet window after the recovery (phases %v)", seen.phases)
 				}
 				return
 			}
 			if m := fast.ctrls[2].Mode(); m != node.BusOff {
 				t.Fatalf("n2 is %v, want bus-off", m)
 			}
-			if seen[bus.PhaseOff] == 0 {
-				t.Fatalf("no quiet window began with n2 off (phases %v)", seen)
+			if seen.phases[bus.PhaseOff] == 0 {
+				t.Fatalf("no quiet window began with n2 off (phases %v)", seen.phases)
 			}
 		})
 	}
@@ -258,10 +309,10 @@ func TestQuietWindowsMatchReference(t *testing.T) {
 				for i := 0; i < 16; i++ {
 					arrivals = append(arrivals, arrival{slot: uint64(i * 150), station: i % 4, f: dataFrame(uint32(0x100+i), byte(i))})
 				}
-				seen, _ := runLockstep(t, ref, fast, eng, arrivals, 2600)
+				seen := runLockstep(t, ref, fast, eng, arrivals, 2600)
 				formInDelim += probe.form
 				overloadAtLast += probe.overload
-				delimWindows += seen[bus.PhaseErrorDelim] + seen[bus.PhaseOverloadDelim]
+				delimWindows += seen.phases[bus.PhaseErrorDelim] + seen.phases[bus.PhaseOverloadDelim]
 			}
 		}
 		if formInDelim == 0 || overloadAtLast == 0 || delimWindows == 0 {
@@ -305,7 +356,8 @@ func (p *delimProbe) OnBit(_ uint64, level bitstream.Level, _, samples []bitstre
 // engines and requires identical runs, and that every execution path of
 // the fast engine fired: stepped slots, transmitter windows, constant-
 // time pipeline adoptions (one per clean transmission at least) and
-// quiet windows.
+// steady windows. Steady windows batch the end-of-frame episodes, so at
+// most 18 slots per frame are stepped.
 func TestEngineCountersOnEOFGatedMonteCarlo(t *testing.T) {
 	s := benchSpec{policy: "majorcan_5", opts: stations(5, node.Options{}), ber: 0.02, eofOnly: true, seed: 1}
 	ref, fast, eng := benchPair(t, s)
@@ -334,12 +386,15 @@ func TestEngineCountersOnEOFGatedMonteCarlo(t *testing.T) {
 		sameBench(t, ref, fast)
 	}
 	c := eng.Counters()
-	total := c.Stepped + c.TxWindow + c.Quiet
+	total := c.Stepped + c.TxWindow + c.Steady
 	if total != fast.net.Slot() {
 		t.Fatalf("counters cover %d slots, the bus ran %d", total, fast.net.Slot())
 	}
-	if c.Stepped == 0 || c.TxWindow == 0 || c.Quiet == 0 || c.Adoptions < frames {
+	if c.Stepped == 0 || c.TxWindow == 0 || c.Steady == 0 || c.Adoptions < frames {
 		t.Fatalf("counters %+v: want every path to fire, and an adoption per frame", c)
+	}
+	if perFrame := float64(c.Stepped) / frames; perFrame > 18 {
+		t.Fatalf("%.1f stepped slots per frame, want at most 18 (counters %+v)", perFrame, c)
 	}
 	if ref.rnd.Flips() == 0 {
 		t.Fatal("the error model never fired")
@@ -348,9 +403,9 @@ func TestEngineCountersOnEOFGatedMonteCarlo(t *testing.T) {
 }
 
 // TestAdoptionFollowsEncodedFrame enqueues a higher-priority frame at the
-// transmitter mid-transmission, so the queue head is no longer the frame
-// on the wire when the window reaches the ACK slot: the transmitter must
-// not build its pipeline from the head, and both engines must agree.
+// transmitter mid-transmission: it queues behind the frame on the wire,
+// which the window reaching the ACK slot builds the transmitter's
+// pipeline from, and both engines must agree.
 func TestAdoptionFollowsEncodedFrame(t *testing.T) {
 	ref, fast, eng := benchPair(t, benchSpec{policy: "majorcan_5", opts: stations(3, node.Options{})})
 	arrivals := []arrival{
@@ -360,5 +415,82 @@ func TestAdoptionFollowsEncodedFrame(t *testing.T) {
 	runLockstep(t, ref, fast, eng, arrivals, 600)
 	if c := eng.Counters(); c.TxWindow == 0 {
 		t.Fatalf("counters %+v: the transmission never fast-forwarded", c)
+	}
+}
+
+// TestSteadyWindowsMatchReference runs the four protocols through
+// end-of-frame episodes under EOF-gated error models — a gated Random, a
+// gated GlobalRandom, and one Random registered both gated and ungated —
+// under both engines, window by window, on a five-station bus with an
+// error-passive station. It requires identical runs after every Advance
+// and that steady windows really covered what the episodes hold: windows
+// under a dominant bus and inside episodes, MajorCAN's sampling,
+// extended flag and reject wait, an error-passive station's episode and
+// overload flags, with vote-corrected accepts in the runs. A gated
+// GlobalRandom has no lookahead, so no window may open inside an
+// episode under it.
+func TestSteadyWindowsMatchReference(t *testing.T) {
+	models := []struct {
+		name  string
+		build func(seed int64) []bus.Disturber
+	}{
+		{"EOFOnly(Random)", func(seed int64) []bus.Disturber {
+			return []bus.Disturber{errmodel.EOFOnly{Inner: errmodel.NewRandom(0.03, seed)}}
+		}},
+		{"EOFOnly(GlobalRandom)", func(seed int64) []bus.Disturber {
+			return []bus.Disturber{errmodel.EOFOnly{Inner: errmodel.NewGlobalRandom(0.03, seed)}}
+		}},
+		{"Random gated and ungated", func(seed int64) []bus.Disturber {
+			r := errmodel.NewRandom(2e-3, seed)
+			return []bus.Disturber{r, errmodel.EOFOnly{Inner: r}}
+		}},
+	}
+	total := steadySeen{phases: map[bus.Phase]int{}}
+	votes := 0
+	for _, policy := range []string{"can", "minorcan", "majorcan_3", "majorcan_5"} {
+		for _, m := range models {
+			t.Run(policy+"/"+m.name, func(t *testing.T) {
+				for seed := int64(1); seed <= 4; seed++ {
+					ref, fast, eng := benchPair(t, benchSpec{
+						policy: policy,
+						opts:   stations(5, node.Options{}),
+						models: func() []bus.Disturber { return m.build(seed) },
+						// TEC keeps n4 error-passive: only its own
+						// successes lower it.
+						setup: func(ctrls []*node.Controller) { ctrls[4].SetErrorCounters(200, 0) },
+					})
+					var arrivals []arrival
+					for i := 0; i < 12; i++ {
+						arrivals = append(arrivals, arrival{slot: uint64(i * 180), station: i % 5, f: dataFrame(uint32(0x100+i), byte(i))})
+					}
+					seen := runLockstep(t, ref, fast, eng, arrivals, 2400)
+					if m.name == "EOFOnly(GlobalRandom)" && seen.inEpisode > 0 {
+						t.Fatalf("seed %d: %d steady windows inside an episode under a gated whole-bus model", seed, seen.inEpisode)
+					}
+					for p, n := range seen.phases {
+						total.phases[p] += n
+					}
+					total.dominant += seen.dominant
+					total.inEpisode += seen.inEpisode
+					total.passiveEpisode += seen.passiveEpisode
+					total.rejectWait += seen.rejectWait
+					for _, e := range fast.mem.Events() {
+						if e.Kind == obs.KindEOFVoteCorrected {
+							votes++
+						}
+					}
+				}
+			})
+		}
+	}
+	t.Logf("steady windows: %+v, %d vote-corrected accepts", total, votes)
+	for _, p := range []bus.Phase{bus.PhaseSampling, bus.PhaseExtFlag, bus.PhaseErrorFlag, bus.PhaseOverloadFlag} {
+		if total.phases[p] == 0 {
+			t.Errorf("no steady window began with a station in %v", p)
+		}
+	}
+	if total.dominant == 0 || total.inEpisode == 0 || total.passiveEpisode == 0 || total.rejectWait == 0 || votes == 0 {
+		t.Errorf("steady windows %+v, %d vote-corrected accepts: want windows under a dominant bus, inside episodes, in an error-passive station's episode and in a reject wait, and vote-corrected accepts",
+			total, votes)
 	}
 }

@@ -88,7 +88,9 @@ func (p MajorCAN) BestCaseOverhead() int { return 2*p.m - 7 }
 // Section 6 figure; 11 bits for m = 5).
 func (p MajorCAN) WorstCaseOverhead() int { return 4*p.m - 9 }
 
-// MajorCAN's own step modes.
+// MajorCAN's own step modes. Each runs to position 3m+5, which the
+// policy records as Episode.ModeEnd on entering it; sampling counts the
+// dominant samples from m+7 on (Episode.VoteFrom).
 const (
 	majSampling   = node.EpisodeFlag + 1 + iota // monitoring through 3m+5, voting in the window
 	majExtFlag                                  // sending the extended (acceptance) flag
@@ -131,7 +133,7 @@ func (p MajorCAN) Latch(e *node.Episode, level bitstream.Level, transmitter bool
 		default:
 			// Second sub-field: accept and notify with the extended flag
 			// through position 3m+5.
-			e.Mode = majExtFlag
+			e.Mode, e.ModeEnd = majExtFlag, p.EndPos()
 			e.Status = node.EpisodeStatus{
 				Verdict:   node.VerdictAccept,
 				After:     node.AfterErrorDelim,
@@ -141,9 +143,11 @@ func (p MajorCAN) Latch(e *node.Episode, level bitstream.Level, transmitter bool
 		}
 	case node.EpisodeFlag:
 		if e.CountFlag() {
-			e.Mode = majSampling
+			e.ModeEnd = p.EndPos()
 			if e.RejectAtStart {
 				e.Mode = majRejectWait
+			} else {
+				e.Mode, e.VoteFrom = majSampling, p.WindowStart()
 			}
 		}
 	case majSampling:

@@ -194,7 +194,9 @@ func (g *GlobalRandom) Flips() uint64 {
 // in the EOF region) and doubles as the fast engine's next-disturbance
 // lookahead: while no station is in an EOF episode, a gated model can
 // neither fire nor consume randomness, so those slots are provably
-// disturbance-free and may be fast-forwarded.
+// disturbance-free and may be fast-forwarded. Inside episodes the fast
+// engine bounds a gated Random by its lookahead (CleanAhead), at one
+// draw per in-episode station per slot.
 type EOFOnly struct {
 	// Inner is the gated disturbance model.
 	Inner bus.Disturber

@@ -173,8 +173,8 @@ var HotPathRoots = []string{
 	"repro/internal/node.Controller.MirrorsPipeline",
 	"repro/internal/node.Controller.AdoptPipeline",
 	"repro/internal/node.Controller.LatchTxWindow",
-	"repro/internal/node.Controller.QuietSlots",
-	"repro/internal/node.Controller.LatchQuiet",
+	"repro/internal/node.Controller.SteadySlots",
+	"repro/internal/node.Controller.LatchSteady",
 	"repro/internal/frame.ReceivedAtAck",
 	"repro/internal/bitstream.DestufferAfter",
 	"repro/internal/bitstream.CRC15Of",

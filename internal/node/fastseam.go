@@ -82,23 +82,19 @@ func (c *Controller) MirrorsPipeline(t *Controller) bool {
 //
 // A window that reaches the ACK slot leaves the transmitter having
 // sampled exactly Bits[:AckIndex] of its encoding (DESIGN.md §15), so
-// its pipeline is set to frame.ReceivedAtAck of the queued frame in
-// constant time. That needs the queue head to be the encoded frame: a
-// higher-priority frame enqueued mid-transmission takes the head, and
-// the encode cache, keyed by content, tells the two apart. Any other
-// window replays its bits: advance txPos, feed the destuffer/assembler,
-// and absorb the recessive CRC delimiter. The impossible branches stay
-// as panics so a seam regression fails loudly instead of diverging from
-// the reference engine.
+// its pipeline is set to frame.ReceivedAtAck of the queue head — the
+// frame on the wire, which keeps the head while it is transmitted — in
+// constant time. Any other window replays its bits: advance txPos, feed
+// the destuffer/assembler, and absorb the recessive CRC delimiter. The
+// impossible branches stay as panics so a seam regression fails loudly
+// instead of diverging from the reference engine.
 func (c *Controller) LatchTxWindow(win bitstream.Sequence) (adopted bool) {
 	c.now += uint64(len(win))
 	if c.txPos+len(win) == c.txEnc.AckIndex {
-		if f := c.queue.peek(); f != nil && c.encCache[encKeyOf(f, c.txEnc.EOFBits)] == c.txEnc {
-			c.destuff, c.asm = frame.ReceivedAtAck(f, c.txEnc)
-			c.rxTail = 1
-			c.txPos = c.txEnc.AckIndex
-			return true
-		}
+		c.destuff, c.asm = frame.ReceivedAtAck(c.queue.peek(), c.txEnc)
+		c.rxTail = 1
+		c.txPos = c.txEnc.AckIndex
+		return true
 	}
 	for _, level := range win {
 		c.txPos++
@@ -140,49 +136,81 @@ func (c *Controller) AdoptPipeline(t *Controller, slots uint64) {
 	c.now += slots
 }
 
-// QuietSlots returns how many slots the controller can latch recessive
-// without a state transition: the remaining bits of a delimiter past its
-// first recessive bit, of intermission or of suspend, each but the bit
-// that ends it; unbounded (math.MaxInt) when idle with an empty queue or
-// disconnected without bus-off recovery; 0 in every other state, where
-// the next latch changes state or the controller may drive dominant. A
-// quiet controller drives recessive, sits outside the end-of-frame
-// region, and raises no event or hook in those slots, so the fast engine
-// latches a stretch of them at once (LatchQuiet) when every station is
-// quiet and no disturbance fires.
-func (c *Controller) QuietSlots() int {
+// SteadySlots returns how many slots the controller can latch level
+// while its drive stays constant and only counters move: the bits of its
+// current stretch before the one whose latch may change state. The
+// stretches are
+//
+//   - an end-of-frame episode's quiet EOF monitoring (recessive only), a
+//     6-bit flag, and a policy mode with a fixed end (Episode.steadySlots);
+//   - active error and overload flags (dominant only; a recessive sample
+//     is a bit error) and passive flags (either level), up to their last
+//     bit;
+//   - a delimiter waiting out the other stations' flags (dominant only),
+//     up to the next eighth dominant bit, which bumps an error counter,
+//     and a delimiter past its first recessive bit (recessive only);
+//   - intermission and suspend (recessive only);
+//   - idle with an empty queue (recessive only) and disconnected without
+//     bus-off recovery, both unbounded.
+//
+// It is 0 in every other state. None of those latches raises an event or
+// a hook, so the fast engine latches a stretch of them at once
+// (LatchSteady) when every station is steady under the bus level their
+// drives make and no disturbance fires.
+func (c *Controller) SteadySlots(level bitstream.Level) int {
+	recessive := level == bitstream.Recessive
 	switch c.state {
+	case stEpisode:
+		return c.episode.steadySlots(level, c.policy.EOFBits())
+	case stErrorFlag, stOverloadFlag:
+		if recessive {
+			return 0
+		}
+		return max(0, c.flagLeft-1)
+	case stPassiveFlag:
+		return max(0, c.flagLeft-1)
 	case stDelim:
-		if !c.delimSeen {
-			return 0
+		switch {
+		case !c.delimSeen && !recessive:
+			return 7 - c.waitDominant%8
+		case c.delimSeen && recessive:
+			return max(0, c.policy.DelimiterBits()-1-c.delimCount)
 		}
-		return max(0, c.policy.DelimiterBits()-1-c.delimCount)
 	case stIntermission:
-		return max(0, frame.IntermissionBits-1-c.intermCount)
+		if recessive {
+			return max(0, frame.IntermissionBits-1-c.intermCount)
+		}
 	case stSuspend:
-		return max(0, c.suspendLeft-1)
+		if recessive {
+			return max(0, c.suspendLeft-1)
+		}
 	case stIdle:
-		if c.queue.len() > 0 {
-			return 0
+		if recessive && c.queue.len() == 0 {
+			return math.MaxInt
 		}
-		return math.MaxInt
 	case stOff:
-		if c.opts.AutoRecover && !c.crashed && c.mode == BusOff {
-			return 0
+		if !c.opts.AutoRecover || c.crashed || c.mode != BusOff {
+			return math.MaxInt
 		}
-		return math.MaxInt
-	default:
-		return 0
 	}
+	return 0
 }
 
-// LatchQuiet latches n recessive slots, n at most QuietSlots(): exactly
-// what n Latch(Recessive) calls do there — advance the state's counter
-// and the clock.
-func (c *Controller) LatchQuiet(n int) {
+// LatchSteady latches n slots at level, n at most SteadySlots(level):
+// exactly what n Latch(level) calls do there — advance the stretch's
+// counters and the clock.
+func (c *Controller) LatchSteady(level bitstream.Level, n int) {
 	switch c.state {
+	case stEpisode:
+		c.episode.latchSteady(level, n)
+	case stErrorFlag, stOverloadFlag, stPassiveFlag:
+		c.flagLeft -= n
 	case stDelim:
-		c.delimCount += n
+		if c.delimSeen {
+			c.delimCount += n
+		} else {
+			c.waitDominant += n
+		}
 	case stIntermission:
 		c.intermCount += n
 	case stSuspend:

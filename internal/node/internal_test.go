@@ -29,7 +29,7 @@ func TestTxQueueOrdering(t *testing.T) {
 		{ID: 0x10, Data: []byte{4}}, // equal ID: FIFO after the earlier one
 	}
 	for _, f := range frames {
-		q.push(f)
+		q.push(f, false)
 	}
 	if q.len() != 4 {
 		t.Fatalf("len = %d", q.len())

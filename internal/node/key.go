@@ -60,6 +60,8 @@ func (e *Episode) appendKey(b []byte) []byte {
 	b = bitstream.AppendKeyInt(b, int64(e.Pos))
 	b = append(b, e.Mode)
 	b = bitstream.AppendKeyInt(b, int64(e.FlagLeft))
+	b = bitstream.AppendKeyInt(b, int64(e.ModeEnd))
+	b = bitstream.AppendKeyInt(b, int64(e.VoteFrom))
 	b = bitstream.AppendKeyInt(b, int64(e.Votes))
 	st := &e.Status
 	b = bitstream.AppendKeyBool(b, st.Done)

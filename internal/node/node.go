@@ -225,12 +225,16 @@ func (c *Controller) emit(kind obs.Kind, tx bool, cause uint8, aux uint32) {
 // Policy returns the end-of-frame policy in use.
 func (c *Controller) Policy() EOFPolicy { return c.policy }
 
-// Enqueue queues a frame for transmission.
+// Enqueue queues a frame for transmission, ordered by priority; a frame
+// being transmitted keeps its place at the head until its verdict.
 func (c *Controller) Enqueue(f *frame.Frame) error {
 	if err := f.Validate(); err != nil {
 		return fmt.Errorf("node %s: %w", c.name, err)
 	}
-	c.queue.push(f.Clone())
+	// The head is on the wire from the transmitter's SOF through its
+	// end-of-frame episode.
+	inFlight := c.transmitter && (c.state == stFrame || c.state == stEpisode)
+	c.queue.push(f.Clone(), inFlight)
 	return nil
 }
 

@@ -1,9 +1,12 @@
 package node_test
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/bus"
+	"repro/internal/bus/fastpath"
 	"repro/internal/core"
 	"repro/internal/errmodel"
 	"repro/internal/frame"
@@ -220,6 +223,47 @@ func TestQueuePriorityOrder(t *testing.T) {
 		if d.Frame.Data[0] != wantFirstData[i] {
 			t.Errorf("delivery %d data = %d, want %d", i, d.Frame.Data[0], wantFirstData[i])
 		}
+	}
+}
+
+// A higher-priority frame enqueued while the transmitter sends another
+// waits behind the frame on the wire: the accept reports and pops the
+// frame that was sent, and the new one goes out next, under either
+// engine.
+func TestEnqueueDuringTransmissionKeepsFrameOnWire(t *testing.T) {
+	for _, fast := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fast=%v", fast), func(t *testing.T) {
+			var sent, delivered []uint32
+			tx := node.New("tx", core.NewStandard(), node.Options{Hooks: node.Hooks{
+				OnTxSuccess: func(_ uint64, f *frame.Frame) { sent = append(sent, f.ID) },
+			}})
+			rx := node.New("rx", core.NewStandard(), node.Options{Hooks: node.Hooks{
+				OnDeliver: func(_ uint64, f *frame.Frame) { delivered = append(delivered, f.ID) },
+			}})
+			net := bus.NewNetwork()
+			net.Attach(tx)
+			net.Attach(rx)
+			if fast {
+				fastpath.Install(net)
+			}
+			if err := tx.Enqueue(&frame.Frame{ID: 0x200, Data: []byte{2}}); err != nil {
+				t.Fatal(err)
+			}
+			net.Run(20)
+			if !tx.Transmitting() {
+				t.Fatal("0x200 is not on the wire 20 slots in")
+			}
+			if err := tx.Enqueue(&frame.Frame{ID: 0x100, Data: []byte{1}}); err != nil {
+				t.Fatal(err)
+			}
+			if !net.RunUntil(func() bool { return tx.Idle() && rx.Idle() }, 2000) {
+				t.Fatal("no quiescence")
+			}
+			want := []uint32{0x200, 0x100}
+			if !slices.Equal(delivered, want) || !slices.Equal(sent, want) {
+				t.Fatalf("delivered %#x, reported sent %#x: want %#x for both", delivered, sent, want)
+			}
+		})
 	}
 }
 
@@ -443,7 +487,8 @@ func TestErrorKindStrings(t *testing.T) {
 
 // A controller that disconnects inside an end-of-frame episode drops it:
 // outside an episode the episode value is zero, which EOFRel relies on
-// to read 0 there.
+// to read 0 there. EOF bit 3 is reached slot by slot: RunUntil may batch
+// across a position inside an episode.
 func TestDisconnectInsideEpisodeDropsIt(t *testing.T) {
 	for _, disconnect := range []func(*node.Controller){(*node.Controller).Crash, (*node.Controller).ForceBusOff} {
 		c := sim.MustCluster(sim.ClusterOptions{Nodes: 2, Policy: core.MustMajorCAN(5)})
@@ -451,7 +496,10 @@ func TestDisconnectInsideEpisodeDropsIt(t *testing.T) {
 			t.Fatal(err)
 		}
 		rx := c.Nodes[1]
-		if !c.Net.RunUntil(func() bool { return rx.EOFRel() == 3 }, 2000) {
+		for i := 0; i < 2000 && rx.EOFRel() != 3; i++ {
+			c.Net.Step()
+		}
+		if rx.EOFRel() != 3 {
 			t.Fatal("the receiver never reached EOF bit 3")
 		}
 		disconnect(rx)

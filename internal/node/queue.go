@@ -10,10 +10,17 @@ type txQueue struct {
 }
 
 // push inserts a frame by priority (stable among equal identifiers).
-func (q *txQueue) push(f *frame.Frame) {
+// With inFlight set the head is the frame on the wire, so the new frame
+// goes behind it whatever its priority: the head is the frame an
+// accept or a single-shot reject pops and reports.
+func (q *txQueue) push(f *frame.Frame, inFlight bool) {
 	pos := len(q.frames)
-	for i, g := range q.frames {
-		if priorityLess(f, g) {
+	first := 0
+	if inFlight {
+		first = 1
+	}
+	for i := first; i < len(q.frames); i++ {
+		if priorityLess(f, q.frames[i]) {
 			pos = i
 			break
 		}

@@ -148,8 +148,19 @@ type Episode struct {
 	// Mode is the policy's step mode: EpisodeQuiet and EpisodeFlag are
 	// shared, a policy numbers its own modes after EpisodeFlag.
 	Mode uint8
-	// FlagLeft counts down the bits of a 6-bit flag.
+	// FlagLeft counts down the bits of a 6-bit flag. It is nonzero
+	// exactly while the episode sends one, whatever the policy calls the
+	// mode: StartFlag sets it and CountFlag runs it down, and a flag's
+	// bits before the last only count, at either bus level.
 	FlagLeft int
+	// ModeEnd is the position of the last bit of a policy mode that runs
+	// to a fixed position, latching the bits before it only by counting
+	// (MajorCAN's sampling, extended flag and reject wait); 0 in every
+	// other mode. The policy sets it when it enters such a mode.
+	ModeEnd int
+	// VoteFrom is the first position whose dominant samples the current
+	// mode counts in Votes; 0 when the mode counts none.
+	VoteFrom int
 	// Votes counts the dominant samples of an acceptance vote.
 	Votes int
 	// Status is the outcome decided so far, returned when the episode
@@ -232,6 +243,37 @@ func (e *Episode) Finish() EpisodeStatus {
 	st := e.Status
 	st.Done = true
 	return st
+}
+
+// steadySlots returns how many slots the episode latches level only by
+// counting, before the bit whose latch may change its mode: the bits of
+// a flag before its last; of a mode with a fixed end (ModeEnd) before
+// that end; or, under a recessive bus, of the quiet EOF field before its
+// last bit (eofBits), where the frame is accepted. A dominant EOF bit is
+// an error, and any other mode decides on its next bit, so both are 0.
+func (e *Episode) steadySlots(level bitstream.Level, eofBits int) int {
+	switch {
+	case e.FlagLeft > 0:
+		return e.FlagLeft - 1
+	case e.ModeEnd > 0:
+		return max(0, e.ModeEnd-e.Pos)
+	case e.Mode == EpisodeQuiet && level == bitstream.Recessive:
+		return max(0, eofBits-e.Pos)
+	}
+	return 0
+}
+
+// latchSteady latches n slots at level, n at most steadySlots: the flag
+// countdown runs down, a voting mode under a dominant bus counts the
+// window's positions from VoteFrom on, and the position advances.
+func (e *Episode) latchSteady(level bitstream.Level, n int) {
+	if e.FlagLeft > 0 {
+		e.FlagLeft -= n
+	}
+	if e.VoteFrom > 0 && level == bitstream.Dominant {
+		e.Votes += max(0, e.Pos+n-max(e.Pos, e.VoteFrom))
+	}
+	e.Pos += n
 }
 
 // EOFPolicy is a protocol variant: it fixes the frame's EOF length, the
