@@ -34,7 +34,7 @@ func main() {
 	frames := flag.Int("frames", 1000, "frames to broadcast")
 	berStar := flag.Float64("berstar", 0.01, "per-node per-bit view flip probability (ber* = ber/N)")
 	seed := flag.Int64("seed", 1, "random seed")
-	eofOnly := flag.Bool("eofonly", true, "restrict errors to the end-of-frame region (importance sampling)")
+	eofOnly := flag.Bool("eofonly", true, "restrict errors to the end-of-frame region (unweighted: rates are per gated frame, clean outside the region)")
 	rotate := flag.Bool("rotate", false, "rotate the transmitting station")
 	reset := flag.Bool("reset", true, "reset error counters between frames (keep all nodes error-active)")
 	sweep := flag.Int("sweep", 0, "run this many seeds (seed, seed+1, ...) in parallel and aggregate")

@@ -347,14 +347,16 @@ func TestChaosCampaignEngineTransparent(t *testing.T) {
 //   - An infinitely retransmitting frame: the only other station is
 //     crashed, so every attempt ends in a missing ACK and the transmitter
 //     retries forever, exercising frame bodies, fast-forward windows,
-//     encode (cached after the first attempt), error flags and the
-//     interframe machinery with no end-of-frame episode.
+//     error flags and the interframe machinery with no end-of-frame
+//     episode; every attempt reads the same encoding of the queue head.
 //   - Frame after frame from a preloaded queue to a hook-less receiver,
 //     under each protocol: every batch crosses end-of-frame episodes (the
 //     last-bit rule, MinorCAN's probe, MajorCAN's sub-fields) and
 //     deliveries. The episode is a value in the controller's state, and
 //     without an OnDeliver hook nothing reads the delivered frame, so
-//     nothing is built.
+//     nothing is built. Each new queue head is re-encoded into the
+//     transmitter's one buffer, also when every frame carries a
+//     different payload, as Monte Carlo frames do (sim.Payload).
 //   - The same traffic under an ungated random error model, with
 //     fast-forward windows bounded by the model's clean-draw lookahead.
 //   - Frames from an error-passive transmitter, whose suspend periods,
@@ -373,7 +375,7 @@ func TestZeroAllocsPerSlot(t *testing.T) {
 		if err := tx.Enqueue(&frame.Frame{ID: 0x123, Data: []byte{0xDE, 0xAD, 0xBE, 0xEF}}); err != nil {
 			t.Fatal(err)
 		}
-		// Reach steady state: encode cache warm, transmitter error-passive
+		// Reach steady state: encoding buffer sized, transmitter error-passive
 		// (the ACK-error exception then holds TEC constant, so the retry
 		// loop runs forever without a mode change).
 		net.Run(5000)
@@ -388,22 +390,32 @@ func TestZeroAllocsPerSlot(t *testing.T) {
 			t.Fatalf("allocations per %d-slot batch = %g, want 0", batch, allocs)
 		}
 	})
-	for _, policy := range []node.EOFPolicy{core.NewStandard(), core.NewMinorCAN(), core.MustMajorCAN(5)} {
-		t.Run("frames/"+policy.Name(), func(t *testing.T) {
+	samePayload := func(int) []byte { return []byte{0xDE, 0xAD, 0xBE, 0xEF} }
+	for _, tc := range []struct {
+		name    string
+		policy  node.EOFPolicy
+		payload func(i int) []byte
+	}{
+		{"CAN", core.NewStandard(), samePayload},
+		{"MinorCAN", core.NewMinorCAN(), samePayload},
+		{"MajorCAN_5", core.MustMajorCAN(5), samePayload},
+		{"distinct payloads", core.MustMajorCAN(5), func(i int) []byte { return sim.Payload(0, uint32(i), 8) }},
+	} {
+		t.Run("frames/"+tc.name, func(t *testing.T) {
 			net := bus.NewNetwork()
-			tx := node.New("tx", policy, node.Options{})
-			rx := node.New("rx", policy, node.Options{})
+			tx := node.New("tx", tc.policy, node.Options{})
+			rx := node.New("rx", tc.policy, node.Options{})
 			net.Attach(tx)
 			net.Attach(rx)
 			fastpath.Install(net)
 			// Enough frames that the queue outlasts the warm-up and every
 			// measured batch (a frame takes well over 64 slots).
 			for i := 0; i < (runs+2)*batch/64; i++ {
-				if err := tx.Enqueue(&frame.Frame{ID: 0x123, Data: []byte{0xDE, 0xAD, 0xBE, 0xEF}}); err != nil {
+				if err := tx.Enqueue(&frame.Frame{ID: 0x123, Data: tc.payload(i)}); err != nil {
 					t.Fatal(err)
 				}
 			}
-			net.Run(batch) // warm the encode cache
+			net.Run(batch) // size the encoding buffer
 			before := rx.Delivered()
 			allocs := testing.AllocsPerRun(runs, func() { net.Run(batch) })
 			if allocs != 0 {

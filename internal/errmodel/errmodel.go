@@ -189,14 +189,17 @@ func (g *GlobalRandom) Flips() uint64 {
 
 // EOFOnly gates a disturber on the end-of-frame region: the inner model
 // is consulted — and its RNG stream advanced — only when the station's
-// view places it inside an EOF episode (view.EOFRel != 0). This is the
-// paper's importance-sampling device (all inconsistency scenarios live
-// in the EOF region) and doubles as the fast engine's next-disturbance
-// lookahead: while no station is in an EOF episode, a gated model can
-// neither fire nor consume randomness, so those slots are provably
-// disturbance-free and may be fast-forwarded. Inside episodes the fast
-// engine bounds a gated Random by its lookahead (CleanAhead), at one
-// draw per in-episode station per slot.
+// view places it inside an EOF episode (view.EOFRel != 0). All the
+// paper's inconsistency scenarios live in that region, so confining
+// errors to it makes them observable at feasible sample sizes. No
+// likelihood weight is kept: rates measured under the gate are per
+// gated frame, conditioned on a clean frame outside the region. The
+// gate doubles as the fast engine's next-disturbance lookahead: while
+// no station is in an EOF episode, a gated model can neither fire nor
+// consume randomness, so those slots are provably disturbance-free and
+// may be fast-forwarded. Inside episodes the fast engine bounds a gated
+// Random by its lookahead (CleanAhead), at one draw per in-episode
+// station per slot.
 type EOFOnly struct {
 	// Inner is the gated disturbance model.
 	Inner bus.Disturber

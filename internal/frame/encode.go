@@ -59,51 +59,56 @@ func (e *Encoding) FieldLen(f Field) int {
 // encWriter streams a frame's bits into an Encoding in one pass: every
 // stuffed-region bit goes through the bit stuffer (inserting stuff bits
 // as they occur) and, before the CRC field, through the running CRC
-// register. Encoding runs once per frame body in a sweep, so this writer
-// replaces the two-pass build (layout, then restuff into fresh slices)
-// that used to dominate the simulator's allocation profile.
+// register. It writes by index into storage sized for the worst case, so
+// refilling a warm Encoding allocates nothing.
 type encWriter struct {
 	enc *Encoding
+	n   int // bits written so far
 	st  bitstream.Stuffer
 	crc bitstream.CRC15
 }
 
-// stuffed appends one bit of the stuffed region (SOF through the CRC
+// put writes one bit and its annotation.
+func (w *encWriter) put(l bitstream.Level, ref Ref) {
+	w.enc.Bits[w.n] = l
+	w.enc.Refs[w.n] = ref
+	w.n++
+}
+
+// stuffed writes one bit of the stuffed region (SOF through the CRC
 // sequence), plus the stuff bit the stuffer may insert after it. Stuff
 // bits carry the Field/Index of the preceding data bit.
 func (w *encWriter) stuffed(field Field, idx int, l bitstream.Level) {
-	w.enc.Bits = append(w.enc.Bits, l)
-	w.enc.Refs = append(w.enc.Refs, Ref{Field: field, Index: int16(idx)})
+	w.put(l, Ref{Field: field, Index: int16(idx)})
 	if sb, ok := w.st.Push(l); ok {
-		w.enc.Bits = append(w.enc.Bits, sb)
-		w.enc.Refs = append(w.enc.Refs, Ref{Field: field, Index: int16(idx), Stuff: true})
+		w.put(sb, Ref{Field: field, Index: int16(idx), Stuff: true})
 		w.enc.StuffCount++
 	}
 }
 
-// body appends one CRC-covered bit (SOF..data).
+// body writes one CRC-covered bit (SOF..data).
 func (w *encWriter) body(field Field, idx int, l bitstream.Level) {
 	w.crc.Push(l)
 	w.stuffed(field, idx, l)
 }
 
-// bodyUint appends the width low bits of v MSB-first as CRC-covered bits.
+// bodyUint writes the width low bits of v MSB-first as CRC-covered bits.
 func (w *encWriter) bodyUint(field Field, v uint64, width int) {
 	for i := width - 1; i >= 0; i-- {
 		w.body(field, width-1-i, bitstream.FromBit(uint8(v>>uint(i)&1)))
 	}
 }
 
-// tail appends one fixed-form bit (CRC delimiter onward): never stuffed,
+// tail writes one fixed-form bit (CRC delimiter onward): never stuffed,
 // never CRC-covered.
 func (w *encWriter) tail(field Field, idx int, l bitstream.Level) {
-	w.enc.Bits = append(w.enc.Bits, l)
-	w.enc.Refs = append(w.enc.Refs, Ref{Field: field, Index: int16(idx)})
+	w.put(l, Ref{Field: field, Index: int16(idx)})
 }
 
 // Encode produces the on-the-wire image of the frame with the given EOF
 // length (use StandardEOFBits for standard CAN and MinorCAN, 2m for
-// MajorCAN_m).
+// MajorCAN_m): it validates its arguments and fills a new Encoding with
+// Refill.
 func Encode(f *Frame, eofBits int) (*Encoding, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
@@ -111,23 +116,34 @@ func Encode(f *Frame, eofBits int) (*Encoding, error) {
 	if eofBits < 1 {
 		return nil, fmt.Errorf("frame: EOF length %d must be positive", eofBits)
 	}
+	enc := new(Encoding)
+	enc.Refill(f, eofBits)
+	return enc, nil
+}
+
+// Refill overwrites e with the on-the-wire image of f with eofBits EOF
+// bits, as Encode returns it, reusing e's Bits and Refs storage: once e
+// has held a frame at least as long, it allocates nothing. The frame
+// must be valid (Frame.Validate) and eofBits positive. Slices taken from
+// e's previous contents are overwritten.
+func (e *Encoding) Refill(f *Frame, eofBits int) {
 	dataBits := 0
 	if !f.Remote {
 		dataBits = 8 * len(f.Data)
 	}
 	// SOF + arbitration/control + data + CRC, worst-case stuffing (one
 	// insertion per four bits after the first five; len/4 over-covers
-	// it), then the fixed-form tail. Bits and Refs never regrow.
+	// it), then the fixed-form tail.
 	regionLen := 1 + 11 + 1 + 1 + 1 + 4 + dataBits + bitstream.CRCWidth
 	if f.EffectiveFormat() == Extended {
 		regionLen += 1 + 18 + 1 // SRR, extended ID, r1
 	}
 	full := regionLen + regionLen/4 + 3 + eofBits
-
-	enc := &Encoding{EOFBits: eofBits}
-	enc.Bits = make(bitstream.Sequence, 0, full)
-	enc.Refs = make([]Ref, 0, full)
-	w := encWriter{enc: enc}
+	if cap(e.Bits) < full || cap(e.Refs) < full {
+		e.grow(full)
+	}
+	*e = Encoding{Bits: e.Bits[:full], Refs: e.Refs[:full], EOFBits: eofBits}
+	w := encWriter{enc: e}
 
 	rtr := bitstream.Dominant
 	if f.Remote {
@@ -163,20 +179,28 @@ func Encode(f *Frame, eofBits int) (*Encoding, error) {
 		}
 	}
 	// The CRC field is stuffed but not CRC-covered.
-	enc.CRC = w.crc.Sum()
+	e.CRC = w.crc.Sum()
 	for i := bitstream.CRCWidth - 1; i >= 0; i-- {
-		w.stuffed(FieldCRC, bitstream.CRCWidth-1-i, bitstream.FromBit(uint8(enc.CRC>>uint(i)&1)))
+		w.stuffed(FieldCRC, bitstream.CRCWidth-1-i, bitstream.FromBit(uint8(e.CRC>>uint(i)&1)))
 	}
 
 	// tail = CRC delimiter, ACK slot, ACK delimiter, EOF bits.
-	enc.AckIndex = len(enc.Bits) + 1
+	e.AckIndex = w.n + 1
 	w.tail(FieldCRCDelim, 0, bitstream.Recessive)
 	w.tail(FieldACKSlot, 0, bitstream.Recessive)
 	w.tail(FieldACKDelim, 0, bitstream.Recessive)
 	for i := 0; i < eofBits; i++ {
 		w.tail(FieldEOF, i, bitstream.Recessive)
 	}
-	return enc, nil
+	e.Bits, e.Refs = e.Bits[:w.n], e.Refs[:w.n]
+}
+
+// grow replaces e's storage with room for n bits.
+//
+//lint:allow hotpath -- runs only when a frame longer than any e held before is encoded; a warm buffer refills in place
+func (e *Encoding) grow(n int) {
+	e.Bits = make(bitstream.Sequence, n)
+	e.Refs = make([]Ref, n)
 }
 
 // Decode reconstructs a Frame from a destuffed bit sequence spanning SOF

@@ -31,22 +31,3 @@ func (f *Frame) AppendKey(b []byte) []byte {
 	b = append(b, f.Data...)
 	return append(b, f.DLC)
 }
-
-// AppendKey appends the encoding's content to a state key: its bits,
-// their annotations and the derived fields.
-func (e *Encoding) AppendKey(b []byte) []byte {
-	b = bitstream.AppendKeyUint(b, uint64(len(e.Bits)))
-	for _, l := range e.Bits {
-		b = append(b, byte(l))
-	}
-	b = bitstream.AppendKeyUint(b, uint64(len(e.Refs)))
-	for _, r := range e.Refs {
-		b = append(b, byte(r.Field))
-		b = bitstream.AppendKeyBool(b, r.Stuff)
-		b = bitstream.AppendKeyInt(b, int64(r.Index))
-	}
-	b = bitstream.AppendKeyUint(b, uint64(e.CRC))
-	b = bitstream.AppendKeyInt(b, int64(e.EOFBits))
-	b = bitstream.AppendKeyInt(b, int64(e.StuffCount))
-	return bitstream.AppendKeyInt(b, int64(e.AckIndex))
-}

@@ -136,6 +136,9 @@ var HotPathRoots = []string{
 	"repro/internal/bitstream.Destuffer.Push",
 	"repro/internal/bitstream.CRC15.Push",
 	"repro/internal/frame.Assembler.Push",
+	// The transmit encoding, refilled in place when the queue head
+	// changes (reached from the controller's roots, in another package).
+	"repro/internal/frame.Encoding.Refill",
 	"repro/internal/errmodel.Random.Disturb",
 	"repro/internal/errmodel.GlobalRandom.Disturb",
 	// The end-of-frame episode: each policy's step functions, and the

@@ -45,17 +45,23 @@ func (c *Controller) Attempts() int { return c.attempts }
 func (c *Controller) EOFRel() int { return c.episode.Pos }
 
 // TxWindow returns the remaining pre-stuffed levels this transmitter
-// will drive before the ACK slot, aliasing the cached encoding (callers
-// must not mutate it). Within this window the transmitter's output is a
-// pure function of the encoding: no other correct station drives a
-// dominant bit, and the transmitter's own sample always matches what it
-// sent. The window is empty when the controller is not transmitting or
-// has reached the ACK slot, where receivers take over the bus.
+// will drive before the ACK slot, aliasing the controller's encoding of
+// its queue head (callers must not mutate it; it stays valid while the
+// head does, which is the whole transmission). Within this window the
+// transmitter's output is a pure function of the encoding: no other
+// correct station drives a dominant bit, and the transmitter's own
+// sample always matches what it sent. The window is empty when the
+// controller is not transmitting or has reached the ACK slot, where
+// receivers take over the bus.
 func (c *Controller) TxWindow() bitstream.Sequence {
-	if c.state != stFrame || !c.transmitter || c.txPos >= c.txEnc.AckIndex {
+	if c.state != stFrame || !c.transmitter {
 		return nil
 	}
-	return c.txEnc.Bits[c.txPos:c.txEnc.AckIndex]
+	enc := c.txEncoding()
+	if c.txPos >= enc.AckIndex {
+		return nil
+	}
+	return enc.Bits[c.txPos:enc.AckIndex]
 }
 
 // MirrorsPipeline reports whether c is a receiver whose receive-pipeline
@@ -90,10 +96,10 @@ func (c *Controller) MirrorsPipeline(t *Controller) bool {
 // instead of diverging from the reference engine.
 func (c *Controller) LatchTxWindow(win bitstream.Sequence) (adopted bool) {
 	c.now += uint64(len(win))
-	if c.txPos+len(win) == c.txEnc.AckIndex {
-		c.destuff, c.asm = frame.ReceivedAtAck(c.queue.peek(), c.txEnc)
+	if enc := c.txEncoding(); c.txPos+len(win) == enc.AckIndex {
+		c.destuff, c.asm = frame.ReceivedAtAck(c.encoded, enc)
 		c.rxTail = 1
-		c.txPos = c.txEnc.AckIndex
+		c.txPos = enc.AckIndex
 		return true
 	}
 	for _, level := range win {
@@ -217,59 +223,4 @@ func (c *Controller) LatchSteady(level bitstream.Level, n int) {
 		c.suspendLeft -= n
 	}
 	c.now += uint64(n)
-}
-
-// encKey identifies a frame encoding: every input frame.Encode reads.
-type encKey struct {
-	id      uint32
-	format  frame.Format
-	remote  bool
-	dlc     uint8
-	nData   uint8
-	data    [frame.MaxDataLen]byte
-	eofBits int
-}
-
-// encKeyOf returns the cache key of f's encoding with eofBits EOF bits.
-func encKeyOf(f *frame.Frame, eofBits int) encKey {
-	key := encKey{
-		id:      f.ID,
-		format:  f.EffectiveFormat(),
-		remote:  f.Remote,
-		dlc:     f.EffectiveDLC(),
-		nData:   uint8(len(f.Data)),
-		eofBits: eofBits,
-	}
-	copy(key.data[:], f.Data)
-	return key
-}
-
-// encCacheCap bounds the per-controller encode cache. Monte Carlo and
-// RunWorkload frames each carry a fresh sequence number (sim.Payload),
-// so there the cache hits only on retransmissions, and every frame adds
-// an entry; the bound keeps such a stream of distinct frames from
-// growing the map without limit. A full cache is cleared whole, not
-// evicted entry by entry.
-const encCacheCap = 256
-
-// cachedEncode returns the frame's on-the-wire encoding, memoising by
-// frame content: retransmissions re-enter beginFrame once per attempt,
-// so the stuffing pass runs once per distinct (id, dlc, data, eofBits)
-// instead of once per attempt.
-// The cached encoding is shared and read-only (the controller only
-// indexes Bits and Refs).
-func (c *Controller) cachedEncode(f *frame.Frame, eofBits int) (*frame.Encoding, error) {
-	key := encKeyOf(f, eofBits)
-	if enc, ok := c.encCache[key]; ok {
-		return enc, nil
-	}
-	enc, err := frame.Encode(f, eofBits)
-	if err != nil {
-		return nil, err
-	}
-	if len(c.encCache) >= encCacheCap {
-		clear(c.encCache)
-	}
-	c.encCache[key] = enc
-	return enc, nil
 }

@@ -9,8 +9,9 @@ func (c *Controller) InEpisode() bool { return c.state == stEpisode }
 // AppendKey appends the controller's protocol state — every field
 // Snapshot captures — to a state key (see bitstream.AppendKeyBool), so
 // that two controllers of the same configuration have equal keys exactly
-// when they behave identically from here on. Queued frames and the
-// transmit encoding are keyed by content.
+// when they behave identically from here on. Queued frames are keyed by
+// content; the transmit encoding is not keyed, because it is derived
+// from the queue head and the policy.
 func (c *Controller) AppendKey(b []byte) []byte {
 	m := &c.machine
 	b = append(b, byte(m.state))
@@ -20,10 +21,6 @@ func (c *Controller) AppendKey(b []byte) []byte {
 		b = f.AppendKey(b)
 	}
 	b = bitstream.AppendKeyBool(b, m.transmitter)
-	b = bitstream.AppendKeyBool(b, m.txEnc != nil)
-	if m.txEnc != nil {
-		b = m.txEnc.AppendKey(b)
-	}
 	b = bitstream.AppendKeyInt(b, int64(m.txPos))
 	b = m.destuff.AppendKey(b)
 	b = m.asm.AppendKey(b)

@@ -36,25 +36,20 @@ func (c *Controller) beginFrame(tx bool) {
 	c.overloads = 0
 	c.attempts++
 	if tx {
-		head := c.queue.peek()
-		if head == nil {
+		if c.queue.len() == 0 {
 			// StartTx is only entered with a pending frame; this is a
 			// programming error.
 			panic(fmt.Sprintf("node %s: transmit with empty queue", c.name))
 		}
-		enc, err := c.cachedEncode(head, c.policy.EOFBits())
-		if err != nil {
-			// Frames are validated at Enqueue; this is a programming error.
-			panic(fmt.Sprintf("node %s: encode queued frame: %v", c.name, err))
-		}
-		c.txEnc, c.txPos = enc, 0
+		c.txPos = 0
 	}
 }
 
 func (c *Controller) latchFrame(level bitstream.Level) {
 	if c.transmitter {
-		sent := c.txEnc.Bits[c.txPos]
-		ref := c.txEnc.Refs[c.txPos]
+		enc := c.txEncoding()
+		sent := enc.Bits[c.txPos]
+		ref := enc.Refs[c.txPos]
 		if sent != level {
 			switch {
 			case sent == bitstream.Recessive && arbitrationField(ref.Field):

@@ -108,10 +108,14 @@ const (
 // Controller is a simulated CAN controller attached to a bus.Network. It
 // implements bus.Station. The zero value is not usable; use New.
 type Controller struct {
-	name     string
-	policy   EOFPolicy
-	opts     Options
-	encCache map[encKey]*frame.Encoding
+	name   string
+	policy EOFPolicy
+	opts   Options
+
+	// enc is the transmit encoding of encoded, the queue head it was
+	// last derived for (see txEncoding).
+	enc     frame.Encoding
+	encoded *frame.Frame
 
 	// telemetry (nil when uninstrumented)
 	ev      obs.Sink
@@ -122,8 +126,9 @@ type Controller struct {
 
 // machine is every field a latch can change: the controller's protocol
 // state, as a value. Snapshot and Restore copy it whole, so a field added
-// here is captured without further code; configuration, hooks, the encode
-// memo and the telemetry sink stay outside it.
+// here is captured without further code; configuration, hooks, the
+// transmit encoding (a function of the queue head and the policy) and
+// the telemetry sink stay outside it.
 type machine struct {
 	state ctrlState
 	now   uint64 // bit slots latched so far (== network slot when attached at 0)
@@ -131,8 +136,7 @@ type machine struct {
 	// transmit side
 	queue       txQueue
 	transmitter bool
-	txEnc       *frame.Encoding
-	txPos       int
+	txPos       int // offset into the head's encoding of the next bit to drive
 
 	// receive pipeline
 	destuff bitstream.Destuffer
@@ -180,11 +184,10 @@ func New(name string, policy EOFPolicy, opts Options) *Controller {
 		panic("node: nil EOFPolicy")
 	}
 	return &Controller{
-		name:     name,
-		policy:   policy,
-		opts:     opts,
-		encCache: make(map[encKey]*frame.Encoding),
-		machine:  machine{state: stIdle, mode: ErrorActive},
+		name:    name,
+		policy:  policy,
+		opts:    opts,
+		machine: machine{state: stIdle, mode: ErrorActive},
 	}
 }
 
@@ -319,6 +322,23 @@ func (c *Controller) Restore(s State) {
 	c.queue.frames = append(frames, s.m.queue.frames...)
 }
 
+// txEncoding returns the on-the-wire encoding of the queue head, the
+// frame a transmitter in stFrame is sending (Enqueue files new frames
+// behind it, and it leaves the queue only at its verdict). The encoding
+// is derived, not part of the protocol state: when the head is not the
+// frame last encoded, it is re-encoded in place, so a warm controller
+// allocates nothing, and Restore needs no encoding. The pointer compare
+// is exact because queued frames are private clones that are never
+// mutated, and encoded keeps its frame alive, so no other frame can take
+// its address.
+func (c *Controller) txEncoding() *frame.Encoding {
+	if head := c.queue.peek(); head != c.encoded {
+		c.enc.Refill(head, c.policy.EOFBits())
+		c.encoded = head
+	}
+	return &c.enc
+}
+
 // Idle reports whether the controller considers the bus idle and has
 // nothing queued (useful as a quiescence condition for test drivers).
 func (c *Controller) Idle() bool {
@@ -394,7 +414,7 @@ func (c *Controller) Drive() bitstream.Level {
 		return bitstream.Dominant
 	case stFrame:
 		if c.transmitter {
-			return c.txEnc.Bits[c.txPos]
+			return c.txEncoding().Bits[c.txPos]
 		}
 		// Receiver: assert ACK if the frame validated so far.
 		if c.asm.Done() && c.rxTail == 1 && c.asm.CRCOK() {
@@ -423,7 +443,7 @@ func (c *Controller) View() bus.ViewContext {
 		if c.state == stStartTx {
 			v.Field, v.Index, v.Transmitter = frame.FieldSOF, 0, true
 		} else if c.transmitter {
-			ref := c.txEnc.Refs[c.txPos]
+			ref := c.txEncoding().Refs[c.txPos]
 			v.Field, v.Index = ref.Field, int(ref.Index)
 		} else if !c.asm.Done() {
 			v.Field, v.Index = c.asm.Field(), c.asm.FieldIndex()

@@ -40,10 +40,11 @@ type MCConfig struct {
 	WarningSwitchOff bool
 	// EOFOnly restricts disturbances to the end-of-frame region (EOF bits,
 	// flags, sampling windows). All the paper's inconsistency scenarios
-	// live there; conditioning the error process on that region is an
-	// importance-sampling device that makes the rare patterns observable
-	// with feasible sample sizes while leaving the protocol logic
-	// untouched.
+	// live there, so confining errors to it makes the rare patterns
+	// observable with feasible sample sizes while leaving the protocol
+	// logic untouched. It carries no likelihood weight: the measured
+	// rates are per gated frame, conditioned on a clean frame outside the
+	// region, not per frame at BerStar.
 	EOFOnly bool
 	// ResetCounters clears every node's error counters between frames so
 	// that fault confinement does not disconnect stations during long

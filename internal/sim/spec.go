@@ -29,8 +29,9 @@ type SweepSpec struct {
 	// Seeds is the number of consecutive seeds (Seed, Seed+1, ...) the
 	// sweep covers (default 1).
 	Seeds int `json:"seeds"`
-	// EOFOnly restricts disturbances to the end-of-frame region (the
-	// paper's importance-sampling device).
+	// EOFOnly restricts disturbances to the end-of-frame region, where
+	// the paper's scenarios live (unweighted: rates are per gated frame,
+	// conditioned on a clean frame outside the region; MCConfig.EOFOnly).
 	EOFOnly bool `json:"eofOnly"`
 	// ResetCounters clears error counters between frames.
 	ResetCounters bool `json:"resetCounters"`

@@ -19,8 +19,10 @@ type ConsistencyExperiment struct {
 	BerStar float64
 	// Seed makes the run reproducible.
 	Seed int64
-	// EOFOnly restricts errors to the end-of-frame decision region
-	// (importance sampling for the paper's scenarios).
+	// EOFOnly restricts errors to the end-of-frame decision region, where
+	// the paper's scenarios live. Frames carry no likelihood weight, so
+	// rates are per gated frame, conditioned on a clean frame outside the
+	// region, not per frame at BerStar.
 	EOFOnly bool
 }
 
