@@ -32,10 +32,13 @@
 //     on the EOF region or not — looked ahead like fast-forward's;
 //
 //   - eligibility fallback: anything the fast core does not model
-//     exactly — probes, output faults, sample skews, scripted or unknown
+//     exactly — probes, output faults, sample skews, scripts with rules
+//     matched per sample (AtSlot, AtPhase, a When condition), unknown
 //     disturbers, non-Controller stations, more than 64 stations — drops
 //     the whole plan to the reference Step loop, so exotic configurations
-//     are never approximated, merely not accelerated.
+//     are never approximated, merely not accelerated. A script of
+//     single-shot EOF-bit flips is data (errmodel.Script's flip table)
+//     and runs on the packed core, gated on the EOF region.
 //
 // The engine re-derives its plan whenever the network's configuration
 // version changes, so disturbers registered after installation (the
@@ -100,6 +103,12 @@ const (
 	// slot's draw happens at the first in-episode station. It has no
 	// lookahead, so no steady window opens while a station is in one.
 	entryGlobalEOF
+	// entryScript is a script of EOF-bit flips (errmodel.Script's flip
+	// table): it can fire only for a station inside an EOF episode, at
+	// the flips pending for its position and attempt. Like a gated
+	// whole-bus model it gives no horizon there, so no steady window
+	// opens while a station is in an episode.
+	entryScript
 )
 
 // entry is one planned disturber.
@@ -107,6 +116,7 @@ type entry struct {
 	kind entryKind
 	rnd  *errmodel.Random
 	glb  *errmodel.GlobalRandom
+	scr  *errmodel.Script
 }
 
 // lookahead is one distinct spatial model and the draws a slot takes
@@ -134,7 +144,7 @@ type Engine struct {
 	ahead       []lookahead // spatial models, one per instance
 	noHorizon   bool        // an ungated whole-bus model: a disturbance is possible in any slot
 	hasGated    bool        // draws depend on per-station EOF position
-	gatedGlobal bool        // an EOF-gated whole-bus model: no horizon while a station is in an episode
+	gatedGlobal bool        // an EOF-gated whole-bus model or a script: no horizon while a station is in an episode
 
 	counters Counters
 }
@@ -152,6 +162,9 @@ type Counters struct {
 	// Adoptions counts transmitter windows that reached the ACK slot and
 	// set the transmitter's receive pipeline in constant time.
 	Adoptions uint64
+	// Reference counts the stepped slots delegated to Network.Step
+	// because the plan is the reference loop.
+	Reference uint64
 }
 
 // Counters returns the engine's execution tallies so far.
@@ -190,6 +203,7 @@ func (e *Engine) Advance(budget int) int {
 		e.stepSlot(word)
 	} else {
 		e.net.Step()
+		e.counters.Reference++
 	}
 	e.counters.Stepped++
 	return 1
@@ -234,7 +248,7 @@ func (e *Engine) replan() {
 		case entryRandomEOF:
 			e.hasGated = true
 			e.addLookahead(en.rnd, 0, 1)
-		case entryGlobalEOF:
+		case entryGlobalEOF, entryScript:
 			e.hasGated, e.gatedGlobal = true, true
 		}
 		e.entries = append(e.entries, en)
@@ -264,10 +278,15 @@ func (e *Engine) addLookahead(r *errmodel.Random, perSlot, perEpisode int) {
 
 // classify maps a registered disturber to a specialised entry, or
 // reports ok=false for models the packed core cannot replicate draw-
-// for-draw (scripts, user-defined disturbers), which force the
-// reference plan.
+// for-draw (scripts with rules matched per sample, user-defined
+// disturbers), which force the reference plan.
 func classify(d bus.Disturber) (entry, bool) {
 	switch v := d.(type) {
+	case *errmodel.Script:
+		if !v.TableOnly() {
+			return entry{}, false
+		}
+		return entry{kind: entryScript, scr: v}, true
 	case *errmodel.Random:
 		if v.AlwaysClean() {
 			return entry{kind: entryNever}, true
@@ -382,6 +401,10 @@ func (e *Engine) flipMask(slot uint64) uint64 {
 					inEOF, eofKnown = c.EOFRel() != 0, true
 				}
 				if inEOF && en.glb.SampleSlot(slot) {
+					mask ^= bit
+				}
+			case entryScript:
+				if rel := c.EOFRel(); rel != 0 && en.scr.FireEOF(i, rel, c.Attempts()) {
 					mask ^= bit
 				}
 			}

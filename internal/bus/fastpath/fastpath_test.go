@@ -279,10 +279,12 @@ func withDefaultEngine(t *testing.T, choice sim.EngineChoice, f func()) {
 
 // TestScenarioFiguresEngineTransparent replays the paper's Fig. 3
 // scenarios — the scripted inconsistency patterns — under both engines
-// and compares the complete outcomes. Scripted disturbances force the
-// engine's reference plan, so this pins the delegation path: an
-// installed engine must be invisible for configurations it does not
-// accelerate.
+// and compares the complete outcomes. Each figure records its run with a
+// trace recorder, a probe, and probes force the engine's reference plan
+// (the scripts of EOF flips alone would not: they run on the packed
+// core, TestScriptedEOFFlipsMatchReference), so this pins the delegation
+// path: an installed engine must be invisible for configurations it does
+// not accelerate.
 func TestScenarioFiguresEngineTransparent(t *testing.T) {
 	figures := map[string]func() (*scenario.Outcome, error){
 		"Fig3a": scenario.Fig3a,
@@ -317,7 +319,9 @@ func TestScenarioFiguresEngineTransparent(t *testing.T) {
 
 // TestChaosCampaignEngineTransparent runs a small randomized chaos
 // campaign under both engines and requires identical outcomes — trial
-// counts, findings, and every finding's bit-level trace digest.
+// counts, findings, and every finding's bit-level trace digest. Every
+// chaos run attaches its digest probe, and probes force the reference
+// plan, so like the figures this pins the delegation path.
 func TestChaosCampaignEngineTransparent(t *testing.T) {
 	spec := chaos.CampaignSpec{Protocol: "CAN", Nodes: 4, Trials: 15, Seed: 7}
 	outcomes := make(map[sim.EngineChoice][]byte)
@@ -337,6 +341,43 @@ func TestChaosCampaignEngineTransparent(t *testing.T) {
 	if string(outcomes[sim.EngineFast]) != string(outcomes[sim.EngineReference]) {
 		t.Fatalf("campaign outcomes diverged:\n  fast:      %s\n  reference: %s",
 			outcomes[sim.EngineFast], outcomes[sim.EngineReference])
+	}
+}
+
+// TestScriptedEOFFlipsMatchReference runs scripts of EOF-bit flips under
+// both engines in lockstep, comparing states and events after every
+// Advance: the first attempt is disturbed so the frame is sent again,
+// and the script flips views on the second attempt and on any attempt.
+// A script of table flips runs on the packed core, with no slot
+// delegated to Network.Step; the same script with a rule naming no
+// stations (every station) and a rule with a When condition must be
+// delegated, and be just as invisible.
+func TestScriptedEOFFlipsMatchReference(t *testing.T) {
+	for _, policy := range []string{"can", "minorcan", "majorcan_3", "majorcan_5"} {
+		for _, rules := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/rules=%v", policy, rules), func(t *testing.T) {
+				script := func() []bus.Disturber {
+					s := errmodel.NewScript(
+						errmodel.AtEOFBit([]int{1, 2}, 2, 1), // the first attempt fails
+						errmodel.AtEOFBit([]int{3}, 5, 2),
+					).FlipEOF(0, 1, 2).FlipEOF(2, 4, 0)
+					if rules {
+						s.Add(errmodel.AtEOFBit(nil, 3, 2))
+						s.Add(errmodel.AtPhase([]int{3}, bus.PhaseIntermission, 0))
+					}
+					return []bus.Disturber{s}
+				}
+				ref, fast, eng := benchPair(t, benchSpec{policy: policy, opts: stations(4, node.Options{}), models: script})
+				arrivals := []arrival{{slot: 0, station: 0, f: dataFrame(0x100, 1)}, {slot: 400, station: 3, f: dataFrame(0x101, 2)}}
+				runLockstep(t, ref, fast, eng, arrivals, 1200)
+				if a := fast.ctrls[0].Attempts(); a < 3 {
+					t.Fatalf("station 0 saw %d SOFs: the first attempt must fail and the second frame follow", a)
+				}
+				if c := eng.Counters(); (c.Reference == 0) == rules {
+					t.Fatalf("counters %+v: rules must delegate every slot, table flips none", c)
+				}
+			})
+		}
 	}
 }
 
@@ -362,6 +403,10 @@ func TestChaosCampaignEngineTransparent(t *testing.T) {
 //   - Frames from an error-passive transmitter, whose suspend periods,
 //     MajorCAN's delimiters and the intermissions run as quiet windows,
 //     while transmitter windows set the pipeline in constant time.
+//   - The same traffic under a script of EOF-bit flips, reset and
+//     refilled before every batch, as verify refills its script per
+//     pattern: the packed core asks the script's flip table per
+//     in-episode station and slot.
 func TestZeroAllocsPerSlot(t *testing.T) {
 	const batch, runs = 512, 20
 	t.Run("no-ACK retry loop", func(t *testing.T) {
@@ -480,6 +525,36 @@ func TestZeroAllocsPerSlot(t *testing.T) {
 		}
 		if after := e.Counters(); after.Steady-before.Steady < runs || rnd.Flips() == 0 {
 			t.Errorf("counters %+v -> %+v, %d flips: the batches must cross steady windows under a firing gated model", before, after, rnd.Flips())
+		}
+	})
+	t.Run("frames/scripted EOF flips", func(t *testing.T) {
+		net := bus.NewNetwork()
+		var ctrls []*node.Controller
+		for _, name := range []string{"tx", "rx1", "rx2"} {
+			c := node.New(name, core.MustMajorCAN(5), node.Options{})
+			net.Attach(c)
+			ctrls = append(ctrls, c)
+		}
+		script := errmodel.NewScript(errmodel.AtEOFBit([]int{0, 1, 2}, 3, 0))
+		net.AddDisturber(script)
+		e := fastpath.Install(net)
+		for i := 0; i < (runs+2)*batch/64; i++ {
+			if err := ctrls[0].Enqueue(&frame.Frame{ID: 0x123, Data: []byte{0xDE, 0xAD, 0xBE, 0xEF}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		net.Run(batch)
+		before := e.Counters()
+		allocs := testing.AllocsPerRun(runs, func() {
+			script.Reset()
+			script.FlipEOF(1, 3, 0).FlipEOF(2, 4, 0).FlipEOF(0, 1, 1)
+			net.Run(batch)
+		})
+		if allocs != 0 {
+			t.Errorf("allocations per %d-slot batch = %g, want 0", batch, allocs)
+		}
+		if after := e.Counters(); after.Reference != 0 || after.Stepped-before.Stepped < runs || script.FireEOF(1, 3, 0) {
+			t.Errorf("counters %+v -> %+v: the batches must step the packed core and fire their flips", before, after)
 		}
 	})
 	t.Run("frames/quiet windows", func(t *testing.T) {

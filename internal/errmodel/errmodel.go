@@ -228,23 +228,13 @@ type Rule struct {
 	// unlimited).
 	Count int
 
-	// AtEOFBit's condition, kept as data instead of a When closure so a
-	// caller can tell when the rule can no longer fire (EOFAttempt).
+	// AtEOFBit's condition, kept as data instead of a When closure so
+	// Script.Add can compile the rule into its flip table.
 	eof        bool
 	eofRel     int
 	eofAttempt int
 
 	fired []int // firings so far, indexed by station
-}
-
-// EOFAttempt reports the transmission attempt an AtEOFBit rule is bound
-// to (0 for any attempt). ok is false for every other rule, including an
-// AtEOFBit rule given a When condition afterwards: an opaque condition
-// may fire anywhere. A rule bound to attempt a only fires inside a
-// station's end-of-frame episode of attempt a, so once every station it
-// names has left that episode it never fires again.
-func (r *Rule) EOFAttempt() (attempt int, ok bool) {
-	return r.eofAttempt, r.eof && r.When == nil
 }
 
 func (r *Rule) matches(slot uint64, station int, view bus.ViewContext) bool {
@@ -280,26 +270,129 @@ func (r *Rule) matches(slot uint64, station int, view bus.ViewContext) bool {
 
 // Script is a deterministic bus.Disturber built from rules. A sample is
 // flipped when at least one rule fires.
+//
+// Single-shot flips of one station's view at one EOF bit — FlipEOF, and
+// AtEOFBit rules naming their stations — are kept as data, not as rules:
+// a flip table holds, per station and transmission attempt (0 for any
+// attempt), a bitmask of the EOF positions still to flip (bit rel-1 for
+// position rel). A firing clears its bit, so each flip fires once, as
+// the rule would. A script whose flips are all in the table runs on the
+// fast bit-slot engine's packed core (FireEOF); any other rule is
+// matched per sample and keeps the engine on its reference loop.
 type Script struct {
 	rules []*Rule
+	eof   [][tableAttempts]uint64 // eof[station][attempt]: the flip table
 }
+
+// The flip table's bounds; a flip beyond them stays a rule.
+const (
+	// tableWidth is the last EOF position a table row holds.
+	tableWidth = 64
+	// tableAttempts bounds the attempt numbers a table row holds.
+	tableAttempts = 16
+)
 
 var _ bus.Disturber = (*Script)(nil)
 
 // NewScript creates a script from the given rules.
 func NewScript(rules ...*Rule) *Script {
-	return &Script{rules: rules}
+	s := &Script{}
+	for _, r := range rules {
+		s.Add(r)
+	}
+	return s
 }
 
-// Add appends a rule to the script.
+// Add appends a rule to the script. An AtEOFBit rule that names its
+// stations, is still single-shot and has no When condition goes into the
+// flip table instead, one flip per station: the table copies the rule's
+// condition, so changing the rule after Add changes nothing, and its
+// firings do not count on the rule.
 func (s *Script) Add(r *Rule) *Script {
-	s.rules = append(s.rules, r)
+	if !r.eof || r.Stations == nil || r.When != nil || r.Count != 1 || !inTable(r.eofRel, r.eofAttempt) {
+		s.rules = append(s.rules, r)
+		return s
+	}
+	for _, st := range r.Stations {
+		s.FlipEOF(st, r.eofRel, r.eofAttempt)
+	}
 	return s
+}
+
+// FlipEOF adds one single-shot flip: station's view flips at the 1-based
+// EOF-relative position rel of transmission attempt number attempt (0
+// for any attempt), exactly as Add(AtEOFBit([]int{station}, rel,
+// attempt)) would. Inside the table's bounds it builds no rule.
+func (s *Script) FlipEOF(station, rel, attempt int) *Script {
+	if station < 0 || !inTable(rel, attempt) {
+		s.rules = append(s.rules, AtEOFBit([]int{station}, rel, attempt))
+		return s
+	}
+	if station >= len(s.eof) {
+		s.eof = append(s.eof, make([][tableAttempts]uint64, station+1-len(s.eof))...)
+	}
+	s.eof[station][attempt] |= 1 << uint(rel-1)
+	return s
+}
+
+// inTable reports whether a flip at EOF position rel of attempt fits the
+// flip table.
+func inTable(rel, attempt int) bool {
+	return rel >= 1 && rel <= tableWidth && attempt >= 0 && attempt < tableAttempts
+}
+
+// Reset empties the script, its rules and its flip table, keeping the
+// table's storage: a script refilled run after run allocates nothing
+// once it has held a flip of its highest station.
+func (s *Script) Reset() {
+	clear(s.rules)
+	s.rules = s.rules[:0]
+	clear(s.eof)
+}
+
+// FireEOF consumes the table's flip of station's view at EOF-relative
+// position rel of transmission attempt attempt, if one is pending, and
+// reports whether it fired. It is the table's half of Disturb; the fast
+// engine calls it with the station's EOFRel and Attempts.
+func (s *Script) FireEOF(station, rel, attempt int) bool {
+	if station >= len(s.eof) || rel < 1 || rel > tableWidth {
+		return false
+	}
+	row, bit := &s.eof[station], uint64(1)<<uint(rel-1)
+	hit := row[0] & bit
+	row[0] &^= bit
+	if attempt > 0 && attempt < tableAttempts {
+		hit |= row[attempt] & bit
+		row[attempt] &^= bit
+	}
+	return hit != 0
+}
+
+// TableOnly reports whether every flip of the script is in its flip
+// table: it holds no rule that Disturb matches per sample.
+func (s *Script) TableOnly() bool { return len(s.rules) == 0 }
+
+// BoundTo reports whether the script can fire only inside end-of-frame
+// episodes of transmission attempt attempt: every pending flip is in the
+// table and bound to that attempt. Once every station has left that
+// attempt's episode, such a script never fires again.
+func (s *Script) BoundTo(attempt int) bool {
+	if len(s.rules) > 0 {
+		return false
+	}
+	for i := range s.eof {
+		for a, mask := range s.eof[i] {
+			if mask != 0 && a != attempt {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Disturb implements bus.Disturber.
 func (s *Script) Disturb(slot uint64, station int, view bus.ViewContext) bool {
-	fired := false
+	fired := s.FireEOF(station, view.EOFRel, view.Attempts)
 	for _, r := range s.rules {
 		if r.matches(slot, station, view) {
 			fired = true

@@ -2,6 +2,7 @@ package errmodel
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/bus"
@@ -169,24 +170,84 @@ func TestAtEOFBitRule(t *testing.T) {
 	}
 }
 
-func TestRuleEOFAttempt(t *testing.T) {
-	if a, ok := AtEOFBit([]int{1}, 6, 1).EOFAttempt(); !ok || a != 1 {
-		t.Errorf("AtEOFBit(attempt 1): EOFAttempt = %d, %v", a, ok)
+// BoundTo is the memo's eligibility query: only a script whose every
+// flip is a table flip of the given attempt qualifies.
+func TestScriptBoundTo(t *testing.T) {
+	if !NewScript(AtEOFBit([]int{1}, 6, 1)).BoundTo(1) {
+		t.Error("AtEOFBit(attempt 1) must be bound to attempt 1")
 	}
-	if a, ok := AtEOFBit(nil, 6, 0).EOFAttempt(); !ok || a != 0 {
-		t.Errorf("AtEOFBit(any attempt): EOFAttempt = %d, %v", a, ok)
+	if !NewScript().FlipEOF(2, 3, 1).BoundTo(1) || !NewScript().BoundTo(1) {
+		t.Error("FlipEOF(attempt 1) and the empty script must be bound to attempt 1")
 	}
 	opaque := AtEOFBit([]int{1}, 6, 1)
 	opaque.When = func(uint64, int, bus.ViewContext) bool { return true }
 	for name, r := range map[string]*Rule{
-		"AtEOFBit with a When": opaque,
-		"AtPhase":              AtPhase(nil, bus.PhaseEOF, 6),
-		"AtSlot":               AtSlot(nil, 3),
-		"literal":              {Count: 1},
+		"AtEOFBit(any attempt)":   AtEOFBit([]int{1}, 6, 0),
+		"AtEOFBit(every station)": AtEOFBit(nil, 6, 1),
+		"AtEOFBit(attempt 2)":     AtEOFBit([]int{1}, 6, 2),
+		"AtEOFBit with a When":    opaque,
+		"AtEOFBit beyond width":   AtEOFBit([]int{1}, 65, 1),
+		"AtPhase":                 AtPhase(nil, bus.PhaseEOF, 6),
+		"AtSlot":                  AtSlot(nil, 3),
+		"literal":                 {Count: 1},
 	} {
-		if _, ok := r.EOFAttempt(); ok {
-			t.Errorf("%s reports an EOF attempt", name)
+		if NewScript(AtEOFBit([]int{0}, 2, 1), r).BoundTo(1) {
+			t.Errorf("a script with %s reports itself bound to attempt 1", name)
 		}
+	}
+	s := NewScript(AtSlot(nil, 3)).FlipEOF(0, 2, 2)
+	if s.TableOnly() {
+		t.Error("a script with an AtSlot rule reports itself table-only")
+	}
+	if s.Reset(); !s.TableOnly() || !s.FlipEOF(0, 2, 1).BoundTo(1) {
+		t.Error("a reset script must forget its rules and flips")
+	}
+}
+
+// The flip table fires exactly where the rules it replaces fire: a rule
+// given an always-true When condition keeps Rule's own matching, so the
+// two scripts are run side by side over random views (positions beyond
+// the table's width, attempt 0, nil Stations, repeated and overlapping
+// flips) and must agree on every sample.
+func TestFlipTableMatchesRules(t *testing.T) {
+	always := func(uint64, int, bus.ViewContext) bool { return true }
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		table, rules := NewScript(), NewScript()
+		for i := rng.Intn(6); i >= 0; i-- {
+			var stations []int
+			if rng.Intn(4) > 0 {
+				stations = []int{rng.Intn(5), rng.Intn(5)}[:1+rng.Intn(2)]
+			}
+			rel, attempt := 1+rng.Intn(70), rng.Intn(3)
+			table.Add(AtEOFBit(stations, rel, attempt))
+			r := AtEOFBit(stations, rel, attempt)
+			r.When = always
+			rules.Add(r)
+		}
+		for i := 0; i < 400; i++ {
+			station := rng.Intn(5)
+			view := bus.ViewContext{EOFRel: rng.Intn(70), Attempts: rng.Intn(3)}
+			if got, want := table.Disturb(uint64(i), station, view), rules.Disturb(uint64(i), station, view); got != want {
+				t.Fatalf("trial %d sample %d (station %d, %+v): table %v, rules %v", trial, i, station, view, got, want)
+			}
+		}
+	}
+}
+
+// Reset keeps the table's rows: refilling a warm script allocates
+// nothing.
+func TestScriptResetReusesTable(t *testing.T) {
+	s := NewScript().FlipEOF(3, 5, 1)
+	allocs := testing.AllocsPerRun(100, func() {
+		s.Reset()
+		s.FlipEOF(0, 7, 1).FlipEOF(3, 2, 1)
+		if !s.FireEOF(3, 2, 1) || s.FireEOF(3, 2, 1) || s.FireEOF(0, 7, 2) {
+			t.Fatal("table flips must fire once, at their own attempt")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Reset and refill allocate %g times, want 0", allocs)
 	}
 }
 

@@ -141,6 +141,9 @@ var HotPathRoots = []string{
 	"repro/internal/frame.Encoding.Refill",
 	"repro/internal/errmodel.Random.Disturb",
 	"repro/internal/errmodel.GlobalRandom.Disturb",
+	// A script's flip table, asked per in-episode station and slot by the
+	// fast engine (another package) and by Script.Disturb.
+	"repro/internal/errmodel.Script.FireEOF",
 	// The end-of-frame episode: each policy's step functions, and the
 	// steps they share as methods of node.Episode (called from core, so
 	// not reachable from the controller's roots inside node).

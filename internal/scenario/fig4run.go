@@ -13,7 +13,7 @@ import (
 // handles the error.
 func fig4Run(policy node.EOFPolicy, rule *errmodel.Rule, position int) (Fig4Row, error) {
 	cfg := baseConfig(fmt.Sprintf("Fig. 4 position %d", position), policy)
-	cfg.Rules = []*errmodel.Rule{rule}
+	cfg.Script = errmodel.NewScript(rule)
 	out, err := Run(cfg)
 	if err != nil {
 		return Fig4Row{}, err

@@ -59,7 +59,7 @@ func baseConfig(name string, policy node.EOFPolicy) Config {
 // frame consistently.
 func Fig1a(policy node.EOFPolicy) (*Outcome, error) {
 	cfg := baseConfig("Fig. 1a", policy)
-	cfg.Rules = at(defaultX, lastEOF(policy)).Rules()
+	cfg.Script = at(defaultX, lastEOF(policy)).Fill(errmodel.NewScript())
 	return Run(cfg)
 }
 
@@ -69,7 +69,7 @@ func Fig1a(policy node.EOFPolicy) (*Outcome, error) {
 // receives the frame twice (double reception).
 func Fig1b(policy node.EOFPolicy) (*Outcome, error) {
 	cfg := baseConfig("Fig. 1b", policy)
-	cfg.Rules = at(defaultX, lastEOF(policy)-1).Rules()
+	cfg.Script = at(defaultX, lastEOF(policy)-1).Fill(errmodel.NewScript())
 	return Run(cfg)
 }
 
@@ -79,7 +79,7 @@ func Fig1b(policy node.EOFPolicy) (*Outcome, error) {
 // omission.
 func Fig1c(policy node.EOFPolicy) (*Outcome, error) {
 	cfg := baseConfig("Fig. 1c", policy)
-	cfg.Rules = at(defaultX, lastEOF(policy)-1).Rules()
+	cfg.Script = at(defaultX, lastEOF(policy)-1).Fill(errmodel.NewScript())
 	cfg.CrashTx = true
 	return Run(cfg)
 }
@@ -114,7 +114,7 @@ func Fig2() (a, b, c *Outcome, err error) {
 func Fig3a() (*Outcome, error) {
 	policy := core.NewStandard()
 	cfg := baseConfig("Fig. 3a", policy)
-	cfg.Rules = fig3Pattern(policy).Rules()
+	cfg.Script = fig3Pattern(policy).Fill(errmodel.NewScript())
 	return Run(cfg)
 }
 
@@ -125,7 +125,7 @@ func Fig3a() (*Outcome, error) {
 func Fig3b() (*Outcome, error) {
 	policy := core.NewMinorCAN()
 	cfg := baseConfig("Fig. 3b", policy)
-	cfg.Rules = fig3Pattern(policy).Rules()
+	cfg.Script = fig3Pattern(policy).Fill(errmodel.NewScript())
 	return Run(cfg)
 }
 
@@ -144,13 +144,13 @@ func Fig5(m int) (*Outcome, error) {
 	}
 	cfg := baseConfig(fmt.Sprintf("Fig. 5 (MajorCAN_%d)", m), policy)
 	win := policy.WindowStart() // m+7
-	cfg.Rules = slices.Concat(
+	cfg.Script = slices.Concat(
 		at(defaultX, 3),     // error seen by X at EOF bit 3
 		at(tx, 4),           // transmitter misses the flag ...
 		at(tx, 5),           // ... twice
 		at(defaultX, win+1), // sampling-window error at X
 		at(defaultY, win+3), // sampling-window error at Y
-	).Rules()
+	).Fill(errmodel.NewScript())
 	return Run(cfg)
 }
 
@@ -159,7 +159,7 @@ func Fig5(m int) (*Outcome, error) {
 // MajorCAN the same two disturbances must NOT produce an inconsistency.
 func NewScenario(policy node.EOFPolicy) (*Outcome, error) {
 	cfg := baseConfig("new scenario (Fig. 3 pattern)", policy)
-	cfg.Rules = fig3Pattern(policy).Rules()
+	cfg.Script = fig3Pattern(policy).Fill(errmodel.NewScript())
 	return Run(cfg)
 }
 

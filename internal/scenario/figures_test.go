@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/errmodel"
 	"repro/internal/node"
 	"repro/internal/verify"
 )
@@ -138,7 +139,7 @@ func TestFig2MinorCAN(t *testing.T) {
 func TestMinorCANAllLastBitUnnecessaryButConsistent(t *testing.T) {
 	policy := core.NewMinorCAN()
 	cfg := baseConfig("all nodes disturbed at the last EOF bit", policy)
-	cfg.Rules = at([]int{0, 1, 2, 3, 4}, policy.EOFBits()).Rules()
+	cfg.Script = at([]int{0, 1, 2, 3, 4}, policy.EOFBits()).Fill(errmodel.NewScript())
 	out, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

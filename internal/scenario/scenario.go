@@ -36,10 +36,10 @@ type Config struct {
 	// X and Y are the receiver sets of the paper's figures (station
 	// indices).
 	X, Y []int
-	// Rules are the scripted disturbances; the figures build them from
-	// verify.Pattern flips, the vocabulary the exhaustive verifier
-	// enumerates.
-	Rules []*errmodel.Rule
+	// Script holds the scripted disturbances (nil for none); the figures
+	// fill it from verify.Pattern flips, the vocabulary the exhaustive
+	// verifier enumerates.
+	Script *errmodel.Script
 	// CrashTx crashes the transmitter at its first flag (the "failure
 	// before retransmission" of Fig. 1c).
 	CrashTx bool
@@ -112,7 +112,7 @@ func Run(cfg Config) (*Outcome, error) {
 		crash = 0
 	}
 	f := TestFrame()
-	cluster, quiet, deliveries, err := sim.RunFrame(cfg.Policy, cfg.Nodes, f, cfg.Rules, crash, []bus.Probe{rec}, maxSlots)
+	cluster, quiet, deliveries, err := sim.RunFrame(cfg.Policy, cfg.Nodes, f, cfg.Script, crash, []bus.Probe{rec}, maxSlots)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", cfg.Name, err)
 	}

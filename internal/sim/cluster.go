@@ -110,6 +110,8 @@ type Cluster struct {
 	// Verdicts[i] are the accept/reject decisions of station i per frame
 	// episode, in order.
 	Verdicts [][]node.Verdict
+
+	engine *fastpath.Engine // the installed fast engine, nil under the reference loop
 }
 
 // NewCluster builds a cluster of identical controllers.
@@ -175,7 +177,7 @@ func NewCluster(opts ClusterOptions) (*Cluster, error) {
 	}
 	switch engine {
 	case EngineFast:
-		fastpath.Install(c.Net)
+		c.engine = fastpath.Install(c.Net)
 	case EngineReference:
 		// The network's built-in per-slot Step loop.
 	default:

@@ -10,19 +10,19 @@ import (
 
 // RunFrame is the single-frame experiment behind the paper's figures, the
 // exhaustive verifier's patterns and the overhead measurement: station 0
-// broadcasts f on a fresh bus of the given size while the scripted rules
-// flip views, and the bus runs until it is quiet or maxSlots pass. crash
-// names a station crashed at its first flag (CrashAtFirstFlag), or -1 for
-// none; probes are attached ahead of the crash probe. It returns the
-// cluster, whether the bus went quiet and how many copies of f each
-// station delivered. A caller running many patterns of one frame keeps a
-// FrameRunner instead.
-func RunFrame(policy node.EOFPolicy, stations int, f *frame.Frame, rules []*errmodel.Rule, crash int, probes []bus.Probe, maxSlots int) (*Cluster, bool, []int, error) {
+// broadcasts f on a fresh bus of the given size while script (nil for
+// none) flips views, and the bus runs until it is quiet or maxSlots
+// pass. crash names a station crashed at its first flag
+// (CrashAtFirstFlag), or -1 for none; probes are attached ahead of the
+// crash probe. It returns the cluster, whether the bus went quiet and how
+// many copies of f each station delivered. A caller running many
+// patterns of one frame keeps a FrameRunner instead.
+func RunFrame(policy node.EOFPolicy, stations int, f *frame.Frame, script *errmodel.Script, crash int, probes []bus.Probe, maxSlots int) (*Cluster, bool, []int, error) {
 	r, err := NewFrameRunner(policy, stations, f)
 	if err != nil {
 		return nil, false, nil, err
 	}
-	cluster, quiet, deliveries := r.Run(rules, crash, probes, maxSlots)
+	cluster, quiet, deliveries := r.Run(script, crash, probes, maxSlots)
 	return cluster, quiet, deliveries, nil
 }
 
@@ -33,21 +33,22 @@ func RunFrame(policy node.EOFPolicy, stations int, f *frame.Frame, rules []*errm
 // broadcast is undisturbed and identical for every pattern, so a run
 // restored there simulates only its own suffix.
 //
-// The prefix is sound for rules that cannot fire before a station's first
-// EOF bit — the EOF-relative vocabulary (errmodel.AtEOFBit) never does —
-// and for the crash probe, which waits for a flag. A run with probes
-// restores the origin instead: a probe's own state cannot be rewound, so a
-// recording probe must see every slot from 0.
+// The prefix is sound for scripts that cannot fire before a station's
+// first EOF bit — the EOF-relative vocabulary (errmodel.AtEOFBit,
+// Script.FlipEOF) never does — and for the crash probe, which waits for
+// a flag. A run with probes restores the origin instead: a probe's own
+// state cannot be rewound, so a recording probe must see every slot
+// from 0.
 //
-// A run from the prefix whose rules are all first-attempt AtEOFBit rules
-// also memoizes the rest of the run from its settle point, the first slot
-// after the prefix at which no station is inside an end-of-frame episode.
-// Every station enters its first-attempt episode in the slot after the
-// prefix, so at the settle point every rule is dead and the rest of the
-// run is a pure function of the joint state: every controller's protocol
-// state, the network clock, the crash probe and the remaining budget.
-// Runs that reach an equal state share one simulated suffix (DESIGN.md
-// §7).
+// A run from the prefix whose script can fire only in first-attempt
+// episodes (Script.BoundTo(1)) also memoizes the rest of the run from
+// its settle point, the first slot after the prefix at which no station
+// is inside an end-of-frame episode. Every station enters its
+// first-attempt episode in the slot after the prefix, so at the settle
+// point the script is dead and the rest of the run is a pure function of
+// the joint state: every controller's protocol state, the network clock,
+// the crash probe and the remaining budget. Runs that reach an equal
+// state share one simulated suffix (DESIGN.md §7).
 //
 // A FrameRunner is not safe for concurrent use.
 type FrameRunner struct {
@@ -137,11 +138,12 @@ func NewFrameRunner(policy node.EOFPolicy, stations int, f *frame.Frame) (*Frame
 }
 
 // Run broadcasts the runner's frame once: it restores the latest snapshot
-// the run allows, attaches probes, rules and the crash probe, and runs the
-// rest of the maxSlots budget. The results mean what RunFrame's do; the
-// cluster and the deliveries slice are the runner's own and are
-// overwritten by the next Run.
-func (r *FrameRunner) Run(rules []*errmodel.Rule, crash int, probes []bus.Probe, maxSlots int) (*Cluster, bool, []int) {
+// the run allows, attaches probes, the script (nil for none) and the
+// crash probe, and runs the rest of the maxSlots budget. The results mean
+// what RunFrame's do; the cluster and the deliveries slice are the
+// runner's own and are overwritten by the next Run. The run consumes the
+// script's flips: a caller running a pattern again refills it.
+func (r *FrameRunner) Run(script *errmodel.Script, crash int, probes []bus.Probe, maxSlots int) (*Cluster, bool, []int) {
 	from := &r.prefix
 	if len(probes) > 0 || int(from.net.Slot()) > maxSlots {
 		from = &r.origin
@@ -151,8 +153,8 @@ func (r *FrameRunner) Run(rules []*errmodel.Rule, crash int, probes []bus.Probe,
 	for _, p := range probes {
 		c.Net.AddProbe(p)
 	}
-	if len(rules) > 0 {
-		c.Net.AddDisturber(errmodel.NewScript(rules...))
+	if script != nil {
+		c.Net.AddDisturber(script)
 	}
 	if crash >= 0 {
 		r.crash = CrashAtFirstFlag{Ctrl: c.Nodes[crash], Station: crash}
@@ -160,7 +162,7 @@ func (r *FrameRunner) Run(rules []*errmodel.Rule, crash int, probes []bus.Probe,
 	}
 	budget := maxSlots - int(from.net.Slot())
 	var quiet bool
-	if from == &r.prefix && r.memoSound && len(probes) == 0 && firstAttemptEOF(rules) {
+	if from == &r.prefix && r.memoSound && len(probes) == 0 && (script == nil || script.BoundTo(1)) {
 		quiet = r.runMemo(crash, budget)
 	} else {
 		quiet = c.RunUntilQuiet(budget)
@@ -176,17 +178,6 @@ func (r *FrameRunner) MemoStats() MemoStats {
 	s := r.stats
 	s.Entries = len(r.memo)
 	return s
-}
-
-// firstAttemptEOF reports whether every rule is an AtEOFBit rule bound to
-// the first transmission attempt.
-func firstAttemptEOF(rules []*errmodel.Rule) bool {
-	for _, rule := range rules {
-		if attempt, ok := rule.EOFAttempt(); !ok || attempt != 1 {
-			return false
-		}
-	}
-	return true
 }
 
 // runMemo is RunUntilQuiet(budget) for a memoizable run: it simulates to

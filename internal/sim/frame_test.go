@@ -14,17 +14,18 @@ import (
 )
 
 // freshFrame is the literal single-frame run a FrameRunner replaces: a new
-// cluster simulated from slot 0.
+// cluster simulated from slot 0 by the reference loop.
 func freshFrame(t *testing.T, policy node.EOFPolicy, stations int, f *frame.Frame, rules []*errmodel.Rule, crash, maxSlots int) (*Cluster, bool) {
 	t.Helper()
 	c := freshCluster(t, policy, stations, f, rules, crash)
 	return c, c.RunUntilQuiet(maxSlots)
 }
 
-// freshCluster builds freshFrame's cluster at slot 0.
+// freshCluster builds freshFrame's cluster at slot 0, under the
+// reference engine.
 func freshCluster(t *testing.T, policy node.EOFPolicy, stations int, f *frame.Frame, rules []*errmodel.Rule, crash int) *Cluster {
 	t.Helper()
-	c, err := NewCluster(ClusterOptions{Nodes: stations, Policy: policy})
+	c, err := NewCluster(ClusterOptions{Nodes: stations, Policy: policy, Engine: EngineReference})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestFrameRunnerMatchesFresh(t *testing.T) {
 					pattern = append(pattern, sites[b])
 				}
 				for crash := -1; crash < stations; crash++ {
-					got, gotQuiet, deliveries := r.Run(rules(pattern), crash, nil, budget)
+					got, gotQuiet, deliveries := r.Run(errmodel.NewScript(rules(pattern)...), crash, nil, budget)
 					want, wantQuiet := freshFrame(t, policy, stations, runnerFrame, rules(pattern), crash, budget)
 					if gotQuiet != wantQuiet {
 						t.Fatalf("%s %v crash %d: quiet %v, fresh %v", policy.Name(), pattern, crash, gotQuiet, wantQuiet)
@@ -150,8 +151,8 @@ func TestFrameRunnerRestoresPrefixState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.Run([]*errmodel.Rule{errmodel.AtEOFBit([]int{1}, policy.EOFBits()-1, 1)}, 0, nil, 6000)
-		r.Run([]*errmodel.Rule{errmodel.AtEOFBit([]int{2}, 1, 1)}, 3, nil, 6000)
+		r.Run(errmodel.NewScript(errmodel.AtEOFBit([]int{1}, policy.EOFBits()-1, 1)), 0, nil, 6000)
+		r.Run(errmodel.NewScript(errmodel.AtEOFBit([]int{2}, 1, 1)), 3, nil, 6000)
 		// A budget that ends mid-frame leaves every receive pipeline
 		// half-way through the frame body.
 		r.Run(nil, -1, nil, 30)
@@ -209,6 +210,27 @@ func TestFrameRunnerShortBudgetAndProbes(t *testing.T) {
 	r.Run(nil, -1, []bus.Probe{probe}, 6000)
 	if probe.first != 0 || probe.n == 0 {
 		t.Fatalf("probe first saw slot %d (%d slots); it must see every slot from 0", probe.first, probe.n)
+	}
+}
+
+// A verify pattern — EOF-bit flips of the first attempt, restored from
+// the prefix — runs on the fast engine's packed core: no slot is
+// delegated to Network.Step. A crash placement attaches the crash probe,
+// which forces the reference plan.
+func TestFrameRunnerScriptsRunOnPackedCore(t *testing.T) {
+	r, err := NewFrameRunner(core.MustMajorCAN(5), 4, runnerFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	script := errmodel.NewScript()
+	for _, crash := range []int{-1, 1} {
+		before := r.cluster.engine.Counters()
+		script.Reset()
+		r.Run(script.FlipEOF(1, 3, 1).FlipEOF(0, 4, 1), crash, nil, 6000)
+		after := r.cluster.engine.Counters()
+		if stepped, ref := after.Stepped-before.Stepped, after.Reference-before.Reference; stepped == 0 || (ref == 0) != (crash < 0) {
+			t.Errorf("crash %d: %d slots stepped, %d of them by the reference loop", crash, stepped, ref)
+		}
 	}
 }
 

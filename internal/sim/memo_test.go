@@ -70,9 +70,9 @@ func TestFrameRunnerMemoHitMatchesFresh(t *testing.T) {
 					pattern = append(pattern, sites[b])
 				}
 				for crash := -1; crash < stations; crash++ {
-					r.Run(eofRules(pattern), crash, nil, budget)
+					r.Run(errmodel.NewScript(eofRules(pattern)...), crash, nil, budget)
 					before := r.MemoStats()
-					got, gotQuiet, deliveries := r.Run(eofRules(pattern), crash, nil, budget)
+					got, gotQuiet, deliveries := r.Run(errmodel.NewScript(eofRules(pattern)...), crash, nil, budget)
 					if after := r.MemoStats(); after.Hits != before.Hits+1 || after.Misses != before.Misses {
 						t.Fatalf("%s %v crash %d: second run was not a memo hit (%+v then %+v)", policy.Name(), pattern, crash, before, after)
 					}
@@ -143,14 +143,14 @@ func TestFrameRunnerMemoSkipsLiveRulesAndProbes(t *testing.T) {
 	for _, c := range cases {
 		for i := 0; i < 2; i++ {
 			before := r.MemoStats()
-			got, quiet, _ := r.Run(c.rules(), -1, nil, budget)
+			got, quiet, _ := r.Run(errmodel.NewScript(c.rules()...), -1, nil, budget)
 			check(c.name, got, quiet, c.rules(), before)
 		}
 	}
 	pattern := [][2]int{{1, 2}}
-	r.Run(eofRules(pattern), -1, nil, budget) // memoized without a probe
+	r.Run(errmodel.NewScript(eofRules(pattern)...), -1, nil, budget) // memoized without a probe
 	before := r.MemoStats()
-	got, quiet, _ := r.Run(eofRules(pattern), -1, []bus.Probe{&slotProbe{}}, budget)
+	got, quiet, _ := r.Run(errmodel.NewScript(eofRules(pattern)...), -1, []bus.Probe{&slotProbe{}}, budget)
 	check("caller probe", got, quiet, eofRules(pattern), before)
 }
 

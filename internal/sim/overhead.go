@@ -32,13 +32,13 @@ func (c OverheadCase) String() string {
 // the bus busy under the given policy: from the SOF until the transmitter
 // enters intermission (delimiters included, intermission excluded).
 func FrameOccupancy(policy node.EOFPolicy, c OverheadCase) (int, error) {
-	var rules []*errmodel.Rule
+	var script *errmodel.Script
 	if c == WorstCase {
-		rules = []*errmodel.Rule{errmodel.AtEOFBit([]int{1}, policy.EOFBits(), 1)}
+		script = errmodel.NewScript().FlipEOF(1, policy.EOFBits(), 1)
 	}
 	rec := trace.NewRecorder()
 	f := &frame.Frame{ID: 0x2AA, Data: []byte{0x55, 0xAA, 0x55, 0xAA, 0x55, 0xAA, 0x55, 0xAA}}
-	cluster, quiet, _, err := RunFrame(policy, 4, f, rules, -1, []bus.Probe{rec}, 4000)
+	cluster, quiet, _, err := RunFrame(policy, 4, f, script, -1, []bus.Probe{rec}, 4000)
 	if err != nil {
 		return 0, err
 	}

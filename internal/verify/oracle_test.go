@@ -2,6 +2,7 @@ package verify
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -16,7 +17,8 @@ import (
 
 // freshReport is the report the pre-snapshot verifier produced: the
 // literal DFS walk, and for every pattern and crash placement a new
-// cluster simulated from slot 0.
+// cluster simulated from slot 0 by the reference loop, disturbed by one
+// AtEOFBit rule per flip.
 func freshReport(t *testing.T, cfg Config) *Report {
 	t.Helper()
 	if cfg.Stations == 0 {
@@ -52,12 +54,16 @@ func freshReport(t *testing.T, cfg Config) *Report {
 					p[j] = sites[site]
 				}
 				for _, crash := range crashes {
-					c, err := sim.NewCluster(sim.ClusterOptions{Nodes: cfg.Stations, Policy: cfg.Policy})
+					c, err := sim.NewCluster(sim.ClusterOptions{Nodes: cfg.Stations, Policy: cfg.Policy, Engine: sim.EngineReference})
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					c.Net.AddDisturber(errmodel.NewScript(p.Rules()...))
+					script := errmodel.NewScript()
+					for _, f := range p {
+						script.Add(errmodel.AtEOFBit([]int{f.Station}, f.Pos, 1))
+					}
+					c.Net.AddDisturber(script)
 					if crash >= 0 {
 						c.Net.AddProbe(&sim.CrashAtFirstFlag{Ctrl: c.Nodes[crash], Station: crash})
 					}
@@ -123,5 +129,73 @@ func TestExhaustiveMatchesFreshClusters(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// Exhaustive is engine-transparent: its scripts run on the fast engine's
+// packed core, and the report and the memo counters are byte for byte
+// what the reference loop gives — MajorCAN_5 at k<=2, MajorCAN_3 at k<=3
+// and CAN at k<=2 with the crash sweep, whose crash probe puts those
+// runs on the reference plan under either engine.
+func TestExhaustiveEngineTransparent(t *testing.T) {
+	for _, cfg := range []Config{
+		{Policy: core.MustMajorCAN(5), MaxFlips: 2},
+		{Policy: core.MustMajorCAN(3), MaxFlips: 3},
+		{Policy: core.NewStandard(), MaxFlips: 2, CrashSweep: true},
+	} {
+		cfg.Parallelism = 1
+		t.Run(fmt.Sprintf("%s/k%d/crash=%v", cfg.Policy.Name(), cfg.MaxFlips, cfg.CrashSweep), func(t *testing.T) {
+			reports := map[sim.EngineChoice]string{}
+			memos := map[sim.EngineChoice]sim.MemoStats{}
+			for _, engine := range []sim.EngineChoice{sim.EngineFast, sim.EngineReference} {
+				if err := sim.SetDefaultEngine(engine); err != nil {
+					t.Fatal(err)
+				}
+				rep, memo, err := Exhaustive(context.Background(), cfg)
+				if err := sim.SetDefaultEngine(sim.EngineAuto); err != nil {
+					t.Fatal(err)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := json.Marshal(rep.Violations)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reports[engine] = fmt.Sprintf("%s\n%v %d\n%s", rep.Summary(), rep.PatternsBy, rep.Checked, b)
+				memos[engine] = memo
+			}
+			if f, r := reports[sim.EngineFast], reports[sim.EngineReference]; f != r {
+				t.Fatalf("reports differ:\n  fast:      %s\n  reference: %s", f, r)
+			}
+			if f, r := memos[sim.EngineFast], memos[sim.EngineReference]; f != r {
+				t.Fatalf("memo counters: fast %+v, reference %+v", f, r)
+			}
+		})
+	}
+}
+
+// A verify run allocates nothing once warm: a pattern refilled into the
+// worker's reset script, restored from the prefix and served from the
+// suffix memo.
+func TestMemoHitRunAllocatesNothing(t *testing.T) {
+	runner, err := sim.NewFrameRunner(core.MustMajorCAN(5), 4, verifyFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	script := errmodel.NewScript()
+	pattern := Pattern{{Station: 1, Pos: 3}, {Station: 0, Pos: 4}, {Station: 2, Pos: 13}}
+	runner.Run(pattern.Fill(script), -1, nil, 6000)
+	before := runner.MemoStats()
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, quiet, _ := runner.Run(pattern.Fill(script), -1, nil, 6000); !quiet {
+			t.Fatal("the run did not go quiet")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a memo-hit run allocates %g times, want 0", allocs)
+	}
+	if after := runner.MemoStats(); after.Hits-before.Hits < 50 || after.Misses != before.Misses {
+		t.Errorf("memo %+v -> %+v: every measured run must be a hit", before, after)
 	}
 }

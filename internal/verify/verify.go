@@ -35,14 +35,14 @@ func (f Flip) String() string { return fmt.Sprintf("s%d@%d", f.Station, f.Pos) }
 // Pattern is a set of flips applied to one frame transmission.
 type Pattern []Flip
 
-// Rules scripts the pattern: one single-shot view flip per Flip, on the
-// first transmission attempt.
-func (p Pattern) Rules() []*errmodel.Rule {
-	rules := make([]*errmodel.Rule, len(p))
-	for i, f := range p {
-		rules[i] = errmodel.AtEOFBit([]int{f.Station}, f.Pos, 1)
+// Fill resets s and scripts the pattern into it: one single-shot view
+// flip per Flip, on the first transmission attempt. It returns s.
+func (p Pattern) Fill(s *errmodel.Script) *errmodel.Script {
+	s.Reset()
+	for _, f := range p {
+		s.FlipEOF(f.Station, f.Pos, 1)
 	}
-	return rules
+	return s
 }
 
 func (p Pattern) String() string {
@@ -222,7 +222,8 @@ func (c Config) PatternSpace() (int, error) {
 // chunk's first index and steps through the rest with the successor
 // function, so a window costs the same wherever it starts; each worker
 // runs every pattern on its own sim.FrameRunner, which restores the
-// undisturbed pre-EOF prefix instead of simulating it again. The
+// undisturbed pre-EOF prefix instead of simulating it again, with one
+// errmodel.Script it refills for every run. The
 // returned sim.MemoStats sums the workers' suffix-memo counters; they
 // describe the execution, not the verdict, and depend on the worker
 // count.
@@ -308,6 +309,7 @@ func Exhaustive(ctx context.Context, cfg Config) (*Report, sim.MemoStats, error)
 			defer func() { out.memo = runner.MemoStats() }()
 			idx := make([]int, 0, k)
 			pattern := make(Pattern, 0, k)
+			script := errmodel.NewScript()
 			for ctx.Err() == nil {
 				c := int(claimed.Add(1)) - 1
 				if c >= chunks {
@@ -324,7 +326,7 @@ func Exhaustive(ctx context.Context, cfg Config) (*Report, sim.MemoStats, error)
 					out.by[len(pattern)]++
 					out.checked++
 					for ci, crash := range crashes {
-						cluster, quiet, deliveries := runner.Run(pattern.Rules(), crash, nil, cfg.SlotsBudget)
+						cluster, quiet, deliveries := runner.Run(pattern.Fill(script), crash, nil, cfg.SlotsBudget)
 						if outcome := Classify(cluster, deliveries, quiet); outcome != Consistent {
 							out.found = append(out.found, tagged{idx: i, crash: ci, v: Violation{
 								Pattern:    append(Pattern(nil), pattern...),
