@@ -74,7 +74,7 @@ chaos:
 # Exhaustive verification of MajorCAN_5 over its complete design envelope
 # with `paper verify` (all <=5-flip patterns; ~25.7M simulations, each restored from one
 # pre-EOF snapshot per worker, with the rest of the run memoized on the
-# joint state once the EOF episodes settle; ~2 min on 2 vCPUs,
+# joint state once the EOF episodes settle; ~40 s on 2 vCPUs,
 # EXPERIMENTS.md).
 verify-envelope:
 	$(GO) run ./cmd/paper verify -policy majorcan_5 -k 5 -parallel 8

@@ -11,6 +11,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/span"
 	"repro/internal/sim"
+	"repro/internal/verify"
 )
 
 // benchPolicies are the three protocol variants the paper compares.
@@ -130,6 +131,41 @@ func BenchmarkEngineBitslots(b *testing.B) {
 			}
 			// Slots before the drain, as perfbench counts them.
 			b.ReportMetric(float64(load32.Slots)*float64(b.N)/b.Elapsed().Seconds(), "bitslots/s")
+		})
+	}
+}
+
+// BenchmarkVerifyWindow times the repository's heaviest job, the
+// exhaustive MajorCAN_5 envelope of `make verify-envelope`, by one fixed
+// window of it: patterns 12,000,000 to 12,003,999 of its 25.7M
+// (verify.RunSpec, one worker, so each iteration also pays one
+// FrameRunner's prefix and memo warm-up), under both engines. The
+// patterns/s metric is what a whole envelope run divides into.
+func BenchmarkVerifyWindow(b *testing.B) {
+	spec := verify.Spec{Protocol: "majorcan_5", Stations: 4, MaxFlips: 5, PatternStart: 12_000_000, PatternCount: 4000}
+	for _, engine := range []sim.EngineChoice{sim.EngineFast, sim.EngineReference} {
+		b.Run(string(engine), func(b *testing.B) {
+			// RunSpec takes no engine option: switch the process default
+			// for the duration of the sub-benchmark.
+			if err := sim.SetDefaultEngine(engine); err != nil {
+				b.Fatal(err)
+			}
+			defer func() {
+				if err := sim.SetDefaultEngine(sim.EngineAuto); err != nil {
+					b.Fatal(err)
+				}
+			}()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := verify.RunSpec(context.Background(), spec, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if out.Checked != spec.PatternCount || !out.Consistent {
+					b.Fatalf("window checked %d patterns, consistent %v", out.Checked, out.Consistent)
+				}
+			}
+			b.ReportMetric(float64(spec.PatternCount)*float64(b.N)/b.Elapsed().Seconds(), "patterns/s")
 		})
 	}
 }

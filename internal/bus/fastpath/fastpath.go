@@ -29,7 +29,8 @@
 //     intermission, suspend, idle, disconnected), the engine latches
 //     the stretch in one batch up to one slot before the first
 //     transition or firing draw, with the spatial models' draws — gated
-//     on the EOF region or not — looked ahead like fast-forward's;
+//     on the EOF region or not — looked ahead like fast-forward's, and a
+//     script's flips read ahead from its flip table;
 //
 //   - eligibility fallback: anything the fast core does not model
 //     exactly — probes, output faults, sample skews, scripts with rules
@@ -38,7 +39,8 @@
 //     the whole plan to the reference Step loop, so exotic configurations
 //     are never approximated, merely not accelerated. A script of
 //     single-shot EOF-bit flips is data (errmodel.Script's flip table)
-//     and runs on the packed core, gated on the EOF region.
+//     and runs on the packed core, gated on the EOF region; inside
+//     episodes its table bounds steady windows by the next pending flip.
 //
 // The engine re-derives its plan whenever the network's configuration
 // version changes, so disturbers registered after installation (the
@@ -105,9 +107,9 @@ const (
 	entryGlobalEOF
 	// entryScript is a script of EOF-bit flips (errmodel.Script's flip
 	// table): it can fire only for a station inside an EOF episode, at
-	// the flips pending for its position and attempt. Like a gated
-	// whole-bus model it gives no horizon there, so no steady window
-	// opens while a station is in an episode.
+	// the flips pending for its position and attempt. Its horizon is the
+	// table itself: a steady window ends before the next pending flip of
+	// any in-episode station (errmodel.Script.ClearEOF).
 	entryScript
 )
 
@@ -144,7 +146,7 @@ type Engine struct {
 	ahead       []lookahead // spatial models, one per instance
 	noHorizon   bool        // an ungated whole-bus model: a disturbance is possible in any slot
 	hasGated    bool        // draws depend on per-station EOF position
-	gatedGlobal bool        // an EOF-gated whole-bus model or a script: no horizon while a station is in an episode
+	gatedGlobal bool        // an EOF-gated whole-bus model: no horizon while a station is in an episode
 
 	counters Counters
 }
@@ -248,8 +250,10 @@ func (e *Engine) replan() {
 		case entryRandomEOF:
 			e.hasGated = true
 			e.addLookahead(en.rnd, 0, 1)
-		case entryGlobalEOF, entryScript:
+		case entryGlobalEOF:
 			e.hasGated, e.gatedGlobal = true, true
+		case entryScript:
+			e.hasGated = true
 		}
 		e.entries = append(e.entries, en)
 	}
@@ -566,9 +570,10 @@ func (e *Engine) fastForward(budget int) int {
 // through the per-slot core. No station enters or leaves an EOF episode
 // inside the window, so the draws per slot are constant: each spatial
 // model takes one per station for its ungated registrations and one per
-// in-episode station for its gated ones, bounded by the same lookahead.
-// A gated whole-bus model has none, so it stops windows while any
-// station is in an episode.
+// in-episode station for its gated ones, bounded by the same lookahead,
+// and a script's flip table bounds the window before the next flip
+// pending for an in-episode station. A gated whole-bus model has no
+// horizon, so it stops windows while any station is in an episode.
 func (e *Engine) steadyWindow(word uint64, budget int) int {
 	if e.noHorizon {
 		return 0
@@ -589,6 +594,9 @@ func (e *Engine) steadyWindow(word uint64, budget int) int {
 	if inEpisode > 0 && e.gatedGlobal {
 		return 0
 	}
+	if n = e.clearScripts(n); n == 0 {
+		return 0
+	}
 	if n = e.cleanSlots(n, inEpisode); n == 0 {
 		return 0
 	}
@@ -602,6 +610,24 @@ func (e *Engine) steadyWindow(word uint64, budget int) int {
 	}
 	e.net.SkipSlots(uint64(n), dominant, level)
 	e.counters.Steady += uint64(n)
+	return n
+}
+
+// clearScripts bounds a window of n slots by the scripts' flip tables:
+// it returns how many of those slots hold no flip pending for an
+// in-episode station, whose EOF position advances one per slot.
+func (e *Engine) clearScripts(n int) int {
+	for k := range e.entries {
+		if en := &e.entries[k]; en.kind == entryScript {
+			for i, c := range e.ctrls {
+				if rel := c.EOFRel(); rel != 0 {
+					if n = min(n, en.scr.ClearEOF(i, rel, c.Attempts())); n == 0 {
+						return 0
+					}
+				}
+			}
+		}
+	}
 	return n
 }
 

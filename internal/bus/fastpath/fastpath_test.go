@@ -381,6 +381,78 @@ func TestScriptedEOFFlipsMatchReference(t *testing.T) {
 	}
 }
 
+// TestScriptHorizonMatchesReference checks the flip table's horizon:
+// inside end-of-frame episodes a script of table flips bounds steady
+// windows by the next flip pending for an in-episode station
+// (errmodel.Script.ClearEOF), so a window must end exactly before it.
+// Each script runs under both engines in lockstep, compared after every
+// Advance, under every protocol: a flip at the first EOF position, at
+// the last position the episode samples (the last bit of CAN's
+// overload flag and MinorCAN's probe after a last-bit error, MajorCAN's
+// last vote at 3m+5 after a first sub-field error), adjacent flips on
+// one station, flips on several stations (alone and beside an EOF-gated
+// Random), any-attempt flips in the quiet EOF field, and the
+// any-attempt, first- and second-attempt rows of a frame whose first
+// attempt fails. Every flip must fire, no slot may be delegated to
+// Network.Step, and steady windows must open inside episodes.
+func TestScriptHorizonMatchesReference(t *testing.T) {
+	for _, policy := range []string{"can", "minorcan", "majorcan_3", "majorcan_5"} {
+		p, err := core.ParsePolicy(policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A flip at trigger makes a station sample through last.
+		eof, trigger, last := p.EOFBits(), p.EOFBits(), p.EOFBits()+6
+		switch v := p.(type) {
+		case core.MinorCAN:
+			last++
+		case core.MajorCAN:
+			trigger, last = 1, v.EndPos()
+		}
+		cases := []struct {
+			name  string
+			flips func(s *errmodel.Script)
+			gated bool // beside an EOF-gated Random
+		}{
+			{"first position", func(s *errmodel.Script) { s.FlipEOF(1, 1, 1) }, false},
+			{"last sampled position", func(s *errmodel.Script) { s.FlipEOF(1, trigger, 1).FlipEOF(2, trigger, 1).FlipEOF(2, last, 1) }, false},
+			{"adjacent on one station", func(s *errmodel.Script) { s.FlipEOF(2, 3, 1).FlipEOF(2, 4, 1).FlipEOF(2, 5, 1) }, false},
+			{"several stations", func(s *errmodel.Script) { s.FlipEOF(0, 2, 1).FlipEOF(1, 5, 1).FlipEOF(3, 9, 1) }, false},
+			{"several stations, gated Random", func(s *errmodel.Script) { s.FlipEOF(0, 2, 1).FlipEOF(1, 5, 1).FlipEOF(3, 9, 1) }, true},
+			{"any attempt", func(s *errmodel.Script) { s.FlipEOF(2, 4, 0).FlipEOF(3, eof-1, 0) }, false},
+			{"attempt rows", func(s *errmodel.Script) { s.FlipEOF(1, 2, 1).FlipEOF(3, 6, 0).FlipEOF(2, 4, 2).FlipEOF(0, eof, 2) }, false},
+		}
+		for _, tc := range cases {
+			t.Run(policy+"/"+tc.name, func(t *testing.T) {
+				var scripts []*errmodel.Script
+				ref, fast, eng := benchPair(t, benchSpec{
+					policy: policy, opts: stations(4, node.Options{}),
+					ber: 0.05 * float64(b2i(tc.gated)), eofOnly: true, seed: 2,
+					models: func() []bus.Disturber {
+						s := errmodel.NewScript()
+						tc.flips(s)
+						scripts = append(scripts, s)
+						return []bus.Disturber{s}
+					},
+				})
+				seen := runLockstep(t, ref, fast, eng, []arrival{{slot: 0, station: 0, f: dataFrame(0x100, 1)}}, 700)
+				for st := range fast.ctrls {
+					for a := 0; a <= 2; a++ {
+						for rel := 1; rel <= 64; rel++ {
+							if scripts[1].FireEOF(st, rel, a) {
+								t.Errorf("n%d: a flip of attempt %d is still pending at EOF position %d", st, a, rel)
+							}
+						}
+					}
+				}
+				if c := eng.Counters(); c.Reference != 0 || seen.inEpisode == 0 {
+					t.Errorf("counters %+v, %d steady windows inside episodes: want the packed core and windows in episodes", c, seen.inEpisode)
+				}
+			})
+		}
+	}
+}
+
 // TestZeroAllocsPerSlot pins the packed core's allocation behaviour: in
 // a sustained run the engine and the controllers allocate nothing per
 // slot. Two kinds of scenario, each measured after a warm-up:
@@ -406,7 +478,8 @@ func TestScriptedEOFFlipsMatchReference(t *testing.T) {
 //   - The same traffic under a script of EOF-bit flips, reset and
 //     refilled before every batch, as verify refills its script per
 //     pattern: the packed core asks the script's flip table per
-//     in-episode station and slot.
+//     in-episode station and slot, and steady windows inside episodes
+//     end before its next pending flip.
 func TestZeroAllocsPerSlot(t *testing.T) {
 	const batch, runs = 512, 20
 	t.Run("no-ACK retry loop", func(t *testing.T) {
@@ -545,16 +618,24 @@ func TestZeroAllocsPerSlot(t *testing.T) {
 		}
 		net.Run(batch)
 		before := e.Counters()
+		inEpisode := 0 // steady windows begun inside an episode
 		allocs := testing.AllocsPerRun(runs, func() {
 			script.Reset()
 			script.FlipEOF(1, 3, 0).FlipEOF(2, 4, 0).FlipEOF(0, 1, 1)
-			net.Run(batch)
+			for done := 0; done < batch; {
+				episode, steady := ctrls[1].EOFRel() != 0, e.Counters().Steady
+				done += e.Advance(batch - done)
+				if episode && e.Counters().Steady > steady {
+					inEpisode++
+				}
+			}
 		})
 		if allocs != 0 {
 			t.Errorf("allocations per %d-slot batch = %g, want 0", batch, allocs)
 		}
-		if after := e.Counters(); after.Reference != 0 || after.Stepped-before.Stepped < runs || script.FireEOF(1, 3, 0) {
-			t.Errorf("counters %+v -> %+v: the batches must step the packed core and fire their flips", before, after)
+		if after := e.Counters(); after.Reference != 0 || after.Stepped-before.Stepped < runs || inEpisode < runs || script.FireEOF(1, 3, 0) {
+			t.Errorf("counters %+v -> %+v, %d steady windows inside episodes: the batches must step the packed core, batch episodes between flips and fire their flips",
+				before, after, inEpisode)
 		}
 	})
 	t.Run("frames/quiet windows", func(t *testing.T) {

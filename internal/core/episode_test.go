@@ -28,23 +28,33 @@ func (ep *episode) Drive() bitstream.Level { return ep.p.Drive(&ep.e) }
 
 func (ep *episode) Phase() (bus.Phase, int) { return ep.p.Phase(&ep.e), ep.e.Pos }
 
-func (ep *episode) Latch(level bitstream.Level) node.EpisodeStatus {
-	st := ep.p.Latch(&ep.e, level, ep.tx)
+// status is the episode's outcome after a latch that ended it, and the
+// zero status after any other latch.
+type status struct {
+	node.EpisodeStatus
+	Done bool
+}
+
+func (ep *episode) Latch(level bitstream.Level) status {
+	done := ep.p.Latch(&ep.e, level, ep.tx)
 	ep.e.Pos++
-	return st
+	if !done {
+		return status{}
+	}
+	return status{EpisodeStatus: ep.e.Status, Done: true}
 }
 
 // drive feeds a level sequence into an episode and returns the drives it
 // produced (one per latched bit, queried before each Latch) and the final
 // status.
-func drive(t *testing.T, ep *episode, levels string) (bitstream.Sequence, node.EpisodeStatus) {
+func drive(t *testing.T, ep *episode, levels string) (bitstream.Sequence, status) {
 	t.Helper()
 	seq, err := bitstream.ParseSequence(levels)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out bitstream.Sequence
-	var st node.EpisodeStatus
+	var st status
 	for i, l := range seq {
 		out = append(out, ep.Drive())
 		st = ep.Latch(l)

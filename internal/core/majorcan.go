@@ -121,7 +121,7 @@ func (MajorCAN) Phase(e *node.Episode) bus.Phase {
 }
 
 // Latch implements node.EOFPolicy.
-func (p MajorCAN) Latch(e *node.Episode, level bitstream.Level, transmitter bool) node.EpisodeStatus {
+func (p MajorCAN) Latch(e *node.Episode, level bitstream.Level, transmitter bool) bool {
 	switch e.Mode {
 	case node.EpisodeQuiet:
 		switch {
@@ -155,7 +155,7 @@ func (p MajorCAN) Latch(e *node.Episode, level bitstream.Level, transmitter bool
 			e.Votes++
 		}
 		if e.Pos >= p.EndPos() {
-			st := e.Finish()
+			st := &e.Status
 			st.After = node.AfterErrorDelim
 			if e.Votes >= p.m {
 				// Majority of the 2m-1 samples dominant: some node is
@@ -166,12 +166,12 @@ func (p MajorCAN) Latch(e *node.Episode, level bitstream.Level, transmitter bool
 			} else {
 				st.Verdict = node.VerdictReject
 			}
-			return st
+			return true
 		}
 	default: // majExtFlag, majRejectWait: second errors are not signalled
 		if e.Pos >= p.EndPos() {
-			return e.Finish()
+			return true
 		}
 	}
-	return node.EpisodeStatus{}
+	return false
 }

@@ -59,7 +59,7 @@ func (MinorCAN) Phase(e *node.Episode) bus.Phase {
 }
 
 // Latch implements node.EOFPolicy.
-func (MinorCAN) Latch(e *node.Episode, level bitstream.Level, transmitter bool) node.EpisodeStatus {
+func (MinorCAN) Latch(e *node.Episode, level bitstream.Level, transmitter bool) bool {
 	switch e.Mode {
 	case node.EpisodeQuiet:
 		switch {
@@ -74,7 +74,7 @@ func (MinorCAN) Latch(e *node.Episode, level bitstream.Level, transmitter bool) 
 		}
 	case node.EpisodeFlag:
 		if e.CountFlag() {
-			return e.Finish()
+			return true
 		}
 	case minorLastbit:
 		if e.CountFlag() {
@@ -84,25 +84,25 @@ func (MinorCAN) Latch(e *node.Episode, level bitstream.Level, transmitter bool) 
 		if level == bitstream.Dominant {
 			// Primary_error: some other node's flag is still on the bus, so
 			// this node detected the error first — accept the frame.
-			return node.EpisodeStatus{
-				Done:      true,
+			e.Status = node.EpisodeStatus{
 				Verdict:   node.VerdictAccept,
 				After:     node.AfterOverloadDelim,
 				Signalled: true,
 				Kind:      node.ErrOverload,
 			}
+			return true
 		}
 		// The error was caused by an earlier flag of another node, which
 		// has already rejected the frame: reject too. The recessive probe
 		// bit already counts as the first delimiter bit.
-		return node.EpisodeStatus{
-			Done:        true,
+		e.Status = node.EpisodeStatus{
 			Verdict:     node.VerdictReject,
 			After:       node.AfterErrorDelim,
 			DelimCredit: 1,
 			Signalled:   true,
 			Kind:        node.ErrForm,
 		}
+		return true
 	}
-	return node.EpisodeStatus{}
+	return false
 }

@@ -50,11 +50,11 @@ func (Standard) Phase(e *node.Episode) bus.Phase {
 }
 
 // Latch implements node.EOFPolicy.
-func (Standard) Latch(e *node.Episode, level bitstream.Level, transmitter bool) node.EpisodeStatus {
+func (Standard) Latch(e *node.Episode, level bitstream.Level, transmitter bool) bool {
 	switch {
 	case e.Mode == node.EpisodeFlag:
 		if e.CountFlag() {
-			return e.Finish()
+			return true
 		}
 	case level == bitstream.Recessive:
 		return e.CleanEnd(frame.StandardEOFBits)
@@ -72,5 +72,5 @@ func (Standard) Latch(e *node.Episode, level bitstream.Level, transmitter bool) 
 			Kind:      node.ErrOverload,
 		})
 	}
-	return node.EpisodeStatus{}
+	return false
 }

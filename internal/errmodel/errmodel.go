@@ -8,6 +8,8 @@
 package errmodel
 
 import (
+	"math"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -368,6 +370,27 @@ func (s *Script) FireEOF(station, rel, attempt int) bool {
 	return hit != 0
 }
 
+// ClearEOF returns how many consecutive EOF positions of station's
+// view, from the 1-based position rel on, hold no pending flip of
+// transmission attempt attempt — the flips FireEOF would consume there,
+// from the any-attempt row and the attempt's own. It is 0 when a flip
+// is pending at rel and math.MaxInt when none is pending from rel on.
+// The fast engine bounds a steady window of an in-episode station by it.
+func (s *Script) ClearEOF(station, rel, attempt int) int {
+	if station >= len(s.eof) {
+		return math.MaxInt
+	}
+	row := &s.eof[station]
+	pending := row[0]
+	if attempt > 0 && attempt < tableAttempts {
+		pending |= row[attempt]
+	}
+	if pending >>= uint(rel - 1); pending == 0 {
+		return math.MaxInt
+	}
+	return bits.TrailingZeros64(pending)
+}
+
 // TableOnly reports whether every flip of the script is in its flip
 // table: it holds no rule that Disturb matches per sample.
 func (s *Script) TableOnly() bool { return len(s.rules) == 0 }
@@ -381,7 +404,7 @@ func (s *Script) BoundTo(attempt int) bool {
 		return false
 	}
 	for i := range s.eof {
-		for a, mask := range s.eof[i] {
+		for a, mask := range &s.eof[i] {
 			if mask != 0 && a != attempt {
 				return false
 			}
@@ -408,16 +431,6 @@ func (s *Script) Disturb(slot uint64, station int, view bus.ViewContext) bool {
 // EOF of the nodes belonging to X" becomes AtEOFBit(x, eofBits-1, 1).
 func AtEOFBit(stations []int, rel int, attempt int) *Rule {
 	return &Rule{Stations: stations, Count: 1, eof: true, eofRel: rel, eofAttempt: attempt}
-}
-
-// AtEOFBits builds one single-shot rule per EOF-relative position so a
-// station can be disturbed at several positions of the same frame.
-func AtEOFBits(stations []int, rels []int, attempt int) []*Rule {
-	rules := make([]*Rule, 0, len(rels))
-	for _, rel := range rels {
-		rules = append(rules, AtEOFBit(stations, rel, attempt))
-	}
-	return rules
 }
 
 // AtSlot builds a rule that flips the view of the given stations at an

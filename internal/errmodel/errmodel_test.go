@@ -251,15 +251,51 @@ func TestScriptResetReusesTable(t *testing.T) {
 	}
 }
 
-func TestAtEOFBitsBuildsOneRulePerPosition(t *testing.T) {
-	rules := AtEOFBits([]int{0}, []int{3, 4, 5}, 1)
-	if len(rules) != 3 {
-		t.Fatalf("got %d rules, want 3", len(rules))
+// ClearEOF counts the positions from rel on at which FireEOF would not
+// fire: 0 at a pending flip, the distance to the next one, math.MaxInt
+// past the last one, past the table's width and for a station the
+// table never held. The any-attempt row counts for every attempt, an
+// attempt's own row only for it.
+func TestClearEOF(t *testing.T) {
+	s := NewScript().FlipEOF(1, 3, 0).FlipEOF(1, 8, 2).FlipEOF(1, tableWidth, 1)
+	for _, tc := range []struct {
+		station, rel, attempt, want int
+	}{
+		{1, 3, 1, 0},                        // pending at rel, any attempt
+		{1, 1, 1, 2},                        // two clear positions before it
+		{1, 4, 2, 4},                        // attempt 2's own flip at 8
+		{1, 4, 1, tableWidth - 4},           // attempt 1's flip at the last position
+		{1, 4, 3, math.MaxInt},              // attempt 3 has no row of its own
+		{1, tableWidth, 1, 0},               // the last position the table holds
+		{1, tableWidth + 1, 1, math.MaxInt}, // beyond the table's width
+		{1, 4, tableAttempts, math.MaxInt},  // an attempt beyond the table
+		{0, 1, 1, math.MaxInt},              // a row with no flip
+		{5, 1, 1, math.MaxInt},              // a station past the table
+	} {
+		if got := s.ClearEOF(tc.station, tc.rel, tc.attempt); got != tc.want {
+			t.Errorf("ClearEOF(%d, %d, %d) = %d, want %d", tc.station, tc.rel, tc.attempt, got, tc.want)
+		}
 	}
-	s := NewScript(rules...)
-	for _, rel := range []int{3, 4, 5} {
-		if !s.Disturb(0, 0, bus.ViewContext{EOFRel: rel, Attempts: 1}) {
-			t.Errorf("position %d must fire", rel)
+	// Against FireEOF on random tables: a copy of the table fires
+	// nowhere before the horizon and at it.
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		s := NewScript()
+		for i := rng.Intn(5); i >= 0; i-- {
+			s.FlipEOF(rng.Intn(3), 1+rng.Intn(tableWidth), rng.Intn(3))
+		}
+		station, rel, attempt := rng.Intn(4), 1+rng.Intn(tableWidth+2), rng.Intn(4)
+		got := s.ClearEOF(station, rel, attempt)
+		probe := &Script{eof: append([][tableAttempts]uint64(nil), s.eof...)}
+		first := math.MaxInt
+		for p := rel; p <= tableWidth+2; p++ {
+			if probe.FireEOF(station, p, attempt) {
+				first = p - rel
+				break
+			}
+		}
+		if got != first {
+			t.Fatalf("trial %d: ClearEOF(%d, %d, %d) = %d, FireEOF first fires %d positions on", trial, station, rel, attempt, got, first)
 		}
 	}
 }

@@ -142,8 +142,10 @@ var HotPathRoots = []string{
 	"repro/internal/errmodel.Random.Disturb",
 	"repro/internal/errmodel.GlobalRandom.Disturb",
 	// A script's flip table, asked per in-episode station and slot by the
-	// fast engine (another package) and by Script.Disturb.
+	// fast engine (another package) and by Script.Disturb, and per
+	// steady window for the horizon of its pending flips.
 	"repro/internal/errmodel.Script.FireEOF",
+	"repro/internal/errmodel.Script.ClearEOF",
 	// The end-of-frame episode: each policy's step functions, and the
 	// steps they share as methods of node.Episode (called from core, so
 	// not reachable from the controller's roots inside node).
@@ -162,7 +164,6 @@ var HotPathRoots = []string{
 	"repro/internal/node.Episode.Drive",
 	"repro/internal/node.Episode.Detected",
 	"repro/internal/node.Episode.CleanEnd",
-	"repro/internal/node.Episode.Finish",
 	// The fast bit-slot engine: Advance is the per-slot entry the bus
 	// delegates to, and the node/bus seams below are what it calls per
 	// slot or per fast-forward window. They are roots of their own

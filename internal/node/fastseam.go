@@ -167,7 +167,7 @@ func (c *Controller) SteadySlots(level bitstream.Level) int {
 	recessive := level == bitstream.Recessive
 	switch c.state {
 	case stEpisode:
-		return c.episode.steadySlots(level, c.policy.EOFBits())
+		return c.episode.steadySlots(level, c.eofBits)
 	case stErrorFlag, stOverloadFlag:
 		if recessive {
 			return 0
@@ -180,7 +180,7 @@ func (c *Controller) SteadySlots(level bitstream.Level) int {
 		case !c.delimSeen && !recessive:
 			return 7 - c.waitDominant%8
 		case c.delimSeen && recessive:
-			return max(0, c.policy.DelimiterBits()-1-c.delimCount)
+			return max(0, c.delimBits-1-c.delimCount)
 		}
 	case stIntermission:
 		if recessive {

@@ -16,8 +16,9 @@ func (stubPolicy) EOFBits() int                   { return 7 }
 func (stubPolicy) DelimiterBits() int             { return 8 }
 func (stubPolicy) Drive(*Episode) bitstream.Level { return bitstream.Recessive }
 func (stubPolicy) Phase(*Episode) bus.Phase       { return bus.PhaseEOF }
-func (stubPolicy) Latch(*Episode, bitstream.Level, bool) EpisodeStatus {
-	return EpisodeStatus{Done: true, Verdict: VerdictAccept, After: AfterNone}
+func (stubPolicy) Latch(e *Episode, _ bitstream.Level, _ bool) bool {
+	e.Status = EpisodeStatus{Verdict: VerdictAccept, After: AfterNone}
+	return true
 }
 
 func TestTxQueueOrdering(t *testing.T) {

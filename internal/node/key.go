@@ -61,7 +61,6 @@ func (e *Episode) appendKey(b []byte) []byte {
 	b = bitstream.AppendKeyInt(b, int64(e.VoteFrom))
 	b = bitstream.AppendKeyInt(b, int64(e.Votes))
 	st := &e.Status
-	b = bitstream.AppendKeyBool(b, st.Done)
 	b = append(b, byte(st.Verdict), byte(st.After))
 	b = bitstream.AppendKeyInt(b, int64(st.DelimCredit))
 	b = bitstream.AppendKeyBool(b, st.Signalled)

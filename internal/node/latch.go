@@ -146,13 +146,13 @@ func (c *Controller) enterEpisode(reject bool, kind ErrorKind) {
 }
 
 func (c *Controller) latchEpisode(level bitstream.Level) {
-	st := c.policy.Latch(&c.episode, level, c.transmitter)
-	if !st.Done {
+	if !c.policy.Latch(&c.episode, level, c.transmitter) {
 		c.episode.Pos++
 		return
 	}
 	ep := c.episode
 	c.episode = Episode{}
+	st := &ep.Status
 	if st.Signalled && !ep.RejectAtStart {
 		// A RejectAtStart error was already recorded when it was detected.
 		c.recordError(st.Kind)
@@ -161,7 +161,7 @@ func (c *Controller) latchEpisode(level bitstream.Level) {
 		// MajorCAN's majority vote overturned the signalled error.
 		c.emit(obs.KindEOFVoteCorrected, c.transmitter, uint8(st.Kind), uint32(st.Votes))
 	}
-	c.emitEOFVote(st, &ep)
+	c.emitEOFVote(&ep)
 	if h := c.opts.Hooks.OnVerdict; h != nil {
 		h(c.now, st.Verdict, c.transmitter)
 	}
@@ -220,10 +220,11 @@ func (c *Controller) latchEpisode(level bitstream.Level) {
 // can render per-station vote-round spans. Slot is the episode's final
 // bit, Aux its length in slots; Cause carries the error kind that drove
 // the episode (0 for a clean frame) and FlagRejected a reject verdict.
-func (c *Controller) emitEOFVote(st EpisodeStatus, ep *Episode) {
+func (c *Controller) emitEOFVote(ep *Episode) {
 	if c.ev == nil {
 		return
 	}
+	st := &ep.Status
 	cause := uint8(st.Kind)
 	if cause == 0 && ep.RejectAtStart {
 		cause = uint8(ep.RejectKind)
@@ -362,7 +363,7 @@ func (c *Controller) latchDelim(level bitstream.Level) {
 	}
 	c.delimCount++
 	if level == bitstream.Dominant {
-		if c.delimCount >= c.policy.DelimiterBits() {
+		if c.delimCount >= c.delimBits {
 			// Dominant at the last delimiter bit: overload condition.
 			c.recordError(ErrOverload)
 			c.startOverload()
@@ -376,7 +377,7 @@ func (c *Controller) latchDelim(level bitstream.Level) {
 }
 
 func (c *Controller) finishDelimIfDone() {
-	if c.delimCount >= c.policy.DelimiterBits() {
+	if c.delimCount >= c.delimBits {
 		c.enterIntermission()
 	}
 }

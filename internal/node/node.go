@@ -112,6 +112,9 @@ type Controller struct {
 	policy EOFPolicy
 	opts   Options
 
+	// The policy's EOFBits and DelimiterBits, read once.
+	eofBits, delimBits int
+
 	// enc is the transmit encoding of encoded, the queue head it was
 	// last derived for (see txEncoding).
 	enc     frame.Encoding
@@ -126,9 +129,9 @@ type Controller struct {
 
 // machine is every field a latch can change: the controller's protocol
 // state, as a value. Snapshot and Restore copy it whole, so a field added
-// here is captured without further code; configuration, hooks, the
-// transmit encoding (a function of the queue head and the policy) and
-// the telemetry sink stay outside it.
+// here is captured without further code; configuration, the policy's
+// constants, hooks, the transmit encoding (a function of the queue head
+// and the policy) and the telemetry sink stay outside it.
 type machine struct {
 	state ctrlState
 	now   uint64 // bit slots latched so far (== network slot when attached at 0)
@@ -184,10 +187,12 @@ func New(name string, policy EOFPolicy, opts Options) *Controller {
 		panic("node: nil EOFPolicy")
 	}
 	return &Controller{
-		name:    name,
-		policy:  policy,
-		opts:    opts,
-		machine: machine{state: stIdle, mode: ErrorActive},
+		name:      name,
+		policy:    policy,
+		opts:      opts,
+		eofBits:   policy.EOFBits(),
+		delimBits: policy.DelimiterBits(),
+		machine:   machine{state: stIdle, mode: ErrorActive},
 	}
 }
 
@@ -333,7 +338,7 @@ func (c *Controller) Restore(s State) {
 // its address.
 func (c *Controller) txEncoding() *frame.Encoding {
 	if head := c.queue.peek(); head != c.encoded {
-		c.enc.Refill(head, c.policy.EOFBits())
+		c.enc.Refill(head, c.eofBits)
 		c.encoded = head
 	}
 	return &c.enc

@@ -94,11 +94,10 @@ const (
 	AfterOverloadDelim
 )
 
-// EpisodeStatus is returned by EOFPolicy.Latch.
+// EpisodeStatus is the outcome of an end-of-frame episode, kept in
+// Episode.Status: decided so far while the episode runs, final once
+// EOFPolicy.Latch reports it done.
 type EpisodeStatus struct {
-	// Done reports that the episode is complete; the remaining fields are
-	// only meaningful when Done is true.
-	Done bool
 	// Verdict is the node's decision about the frame.
 	Verdict Verdict
 	// After selects the delimiter the controller must run next.
@@ -163,8 +162,8 @@ type Episode struct {
 	VoteFrom int
 	// Votes counts the dominant samples of an acceptance vote.
 	Votes int
-	// Status is the outcome decided so far, returned when the episode
-	// completes.
+	// Status is the outcome decided so far; it is final when the
+	// policy's Latch reports the episode done.
 	Status EpisodeStatus
 }
 
@@ -228,21 +227,15 @@ func (e *Episode) Detected(transmitter bool) ErrorKind {
 	return ErrForm
 }
 
-// CleanEnd returns the status after a recessive bit in the quiet mode:
-// the frame is accepted at the last EOF bit, pending before it.
-func (e *Episode) CleanEnd(eofBits int) EpisodeStatus {
-	if e.Pos >= eofBits {
-		return EpisodeStatus{Done: true, Verdict: VerdictAccept, After: AfterNone}
+// CleanEnd latches a recessive bit in the quiet mode and reports
+// whether the episode is done: the frame is accepted at the last EOF
+// bit, pending before it.
+func (e *Episode) CleanEnd(eofBits int) bool {
+	if e.Pos < eofBits {
+		return false
 	}
-	return EpisodeStatus{}
-}
-
-// Finish returns the outcome decided so far as the episode's final
-// status.
-func (e *Episode) Finish() EpisodeStatus {
-	st := e.Status
-	st.Done = true
-	return st
+	e.Status = EpisodeStatus{Verdict: VerdictAccept, After: AfterNone}
+	return true
 }
 
 // steadySlots returns how many slots the episode latches level only by
@@ -300,8 +293,9 @@ type EOFPolicy interface {
 	Drive(e *Episode) bitstream.Level
 	// Phase returns the protocol phase of the bit about to be latched.
 	Phase(e *Episode) bus.Phase
-	// Latch processes the node's sample of that bit; the caller then
-	// advances e.Pos. transmitter reports whether the node transmitted
-	// the frame.
-	Latch(e *Episode, level bitstream.Level, transmitter bool) EpisodeStatus
+	// Latch processes the node's sample of that bit and reports whether
+	// the episode is done; the outcome is then e.Status. Otherwise the
+	// caller advances e.Pos. transmitter reports whether the node
+	// transmitted the frame.
+	Latch(e *Episode, level bitstream.Level, transmitter bool) (done bool)
 }

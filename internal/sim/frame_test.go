@@ -234,6 +234,47 @@ func TestFrameRunnerScriptsRunOnPackedCore(t *testing.T) {
 	}
 }
 
+// A memo-hit verify pattern steps only the slots its flips and the
+// episodes' transitions need: the flip table bounds steady windows
+// inside the episodes, so the slots between flips are batched. Pinned
+// per pattern of MajorCAN_5 on four stations, run a second time so the
+// suffix memo serves it; while the table gave steady windows no horizon,
+// each of these stepped all 21 slots from the prefix to the settle
+// point.
+func TestFrameRunnerStepsBetweenFlips(t *testing.T) {
+	r, err := NewFrameRunner(core.MustMajorCAN(5), 4, runnerFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	script := errmodel.NewScript()
+	for _, tc := range []struct {
+		flips   [][2]int // station, EOF position (first attempt)
+		stepped uint64
+	}{
+		{[][2]int{{1, 3}}, 6},
+		{[][2]int{{0, 2}, {2, 8}}, 6},
+		{[][2]int{{1, 4}, {3, 12}, {2, 15}}, 8},
+		{[][2]int{{1, 6}}, 4},
+		{[][2]int{{0, 10}, {3, 20}}, 5},
+	} {
+		for run := 0; run < 2; run++ {
+			script.Reset()
+			for _, f := range tc.flips {
+				script.FlipEOF(f[0], f[1], 1)
+			}
+			before, hits := r.cluster.engine.Counters(), r.MemoStats().Hits
+			r.Run(script, -1, nil, 6000)
+			after := r.cluster.engine.Counters()
+			if run == 0 {
+				continue
+			}
+			if stepped := after.Stepped - before.Stepped; stepped != tc.stepped || r.MemoStats().Hits != hits+1 {
+				t.Errorf("flips %v: %d slots stepped (memo hits %d -> %d), want %d and a memo hit", tc.flips, stepped, hits, r.MemoStats().Hits, tc.stepped)
+			}
+		}
+	}
+}
+
 // slotProbe records the first slot it sees and how many it saw.
 type slotProbe struct {
 	first uint64
